@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gp import FactorizationError, GpModel, KernelConfig
+from .gp import FactorizationError, GpModel, KernelConfig, _as_rows
 
 __all__ = [
     "ActionSet",
@@ -42,14 +42,7 @@ class ActionSet:
     """Finite set of control vectors the planner may choose from."""
 
     def __init__(self, actions):
-        actions = np.asarray(actions, dtype=float)
-        if actions.ndim == 1:
-            actions = actions[:, None]
-        if actions.ndim != 2 or actions.shape[0] == 0:
-            raise ValueError("ActionSet needs a nonempty (n, e) array of actions")
-        if not np.all(np.isfinite(actions)):
-            raise ValueError("actions contain non-finite values")
-        self.actions = actions
+        self.actions = _as_rows(actions, None, "actions")
         self.actions.setflags(write=False)
 
     @classmethod
@@ -351,6 +344,10 @@ def _finish_record(t, action, y_next, r_t, mean, variance, score):
     # the reference addresses the leading output components (the cart
     # tracks position only, its observation also carries velocity)
     tracked = y_next[: r_t.shape[0]]
+    # a divergent step may overflow the squares inside the norm; it is inf then
+    with np.errstate(over="ignore"):
+        tracking_error = float(np.linalg.norm(tracked - r_t))
+        estimation_error = float(np.linalg.norm(y_next - mean))
     return StepRecord(
         step=t,
         action=action,
@@ -359,8 +356,8 @@ def _finish_record(t, action, y_next, r_t, mean, variance, score):
         predicted_mean=mean,
         predicted_variance=variance,
         objective_value=score,
-        tracking_error=float(np.linalg.norm(tracked - r_t)),
-        estimation_error=float(np.linalg.norm(y_next - mean)),
+        tracking_error=tracking_error,
+        estimation_error=estimation_error,
     )
 
 

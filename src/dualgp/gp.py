@@ -23,6 +23,8 @@ __all__ = [
 ]
 
 LOG_2PI = float(np.log(2.0 * np.pi))
+# below this separation two points count as duplicates
+DUPLICATE_TOL = 1e-12
 
 
 class FactorizationError(ValueError):
@@ -39,6 +41,34 @@ def _as_point(x, dim=None):
     if dim is not None and p.shape[0] != dim:
         raise ValueError(f"query point has dimension {p.shape[0]}, expected {dim}")
     return p
+
+
+def _as_rows(values, dim, what):
+    """Coerce a point set to a finite (n, d) float array; 1-D input is n scalars.
+
+    ``what`` names the points in errors; empty input needs ``dim``.
+    """
+    rows = np.asarray(values, dtype=float)
+    if rows.size == 0:
+        if dim is None:
+            raise ValueError(f"{what} are empty and no dimension was given")
+        rows = rows.reshape(0, dim)
+    if rows.ndim == 1:
+        rows = rows[:, None]
+    if rows.ndim != 2:
+        raise ValueError(f"{what} must be an (n, d) array, got shape {rows.shape}")
+    if dim is not None and rows.shape[1] != dim:
+        raise ValueError(f"{what} have dimension {rows.shape[1]}, expected {dim}")
+    if not np.all(np.isfinite(rows)):
+        raise ValueError(f"{what} contain non-finite values")
+    return rows
+
+
+def _sq_dist(rows, cols):
+    """Squared distances between two (n, d) point sets, shape (len(rows), len(cols))."""
+    # divergent points may overflow to inf: kernel value 0, never a duplicate
+    with np.errstate(over="ignore"):
+        return np.sum((rows[:, None, :] - cols[None, :, :]) ** 2, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -67,17 +97,11 @@ class KernelConfig:
         """Kernel between two points; symmetric, in (0, signal_variance]."""
         p = _as_point(x)
         q = _as_point(x2, dim=p.shape[0])
-        d2 = float(np.sum((p - q) ** 2))
-        return float(self.signal_variance * np.exp(-0.5 * d2 / self.length_scale**2))
+        return float(self.cross(p, q)[0, 0])
 
     def cross(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Kernel matrix between two point sets, shape (len(rows), len(cols))."""
-        rows = np.atleast_2d(rows)
-        cols = np.atleast_2d(cols)
-        # squared distances may overflow for wildly divergent queries; the
-        # kernel limit is exp(-inf) = 0, which is the right answer anyway
-        with np.errstate(over="ignore"):
-            d2 = np.sum((rows[:, None, :] - cols[None, :, :]) ** 2, axis=-1)
+        d2 = _sq_dist(np.atleast_2d(rows), np.atleast_2d(cols))
         return self.signal_variance * np.exp(-0.5 * d2 / self.length_scale**2)
 
 
@@ -85,24 +109,12 @@ class DataSet:
     """Immutable training set: M input vectors of equal dimension plus M scalar targets."""
 
     def __init__(self, inputs, targets, dim=None):
-        inputs = np.asarray(inputs, dtype=float)
+        inputs = _as_rows(inputs, dim, "inputs")
         targets = np.asarray(targets, dtype=float).reshape(-1)
-        if inputs.size == 0:
-            if dim is None:
-                raise ValueError("empty DataSet needs an explicit input dimension")
-            inputs = inputs.reshape(0, dim)
-        if inputs.ndim == 1:
-            inputs = inputs[:, None]
-        if inputs.ndim != 2:
-            raise ValueError(f"inputs must be an (M, d) array, got shape {inputs.shape}")
-        if dim is not None and inputs.shape[1] != dim:
-            raise ValueError(f"inputs have dimension {inputs.shape[1]}, expected {dim}")
         if inputs.shape[0] != targets.shape[0]:
             raise ValueError(
                 f"{inputs.shape[0]} inputs but {targets.shape[0]} targets"
             )
-        if not np.all(np.isfinite(inputs)):
-            raise ValueError("inputs contain non-finite values")
         if not np.all(np.isfinite(targets)):
             raise ValueError("targets contain non-finite values")
         self.inputs = inputs
@@ -138,14 +150,10 @@ class Posterior:
     variance: float
 
 
-def _name_duplicates(inputs, tol=1e-12):
+def _name_duplicates(inputs):
     """Find index pairs of (near-)duplicate rows, for factorization error messages."""
-    pairs = []
-    for i in range(len(inputs)):
-        for j in range(i + 1, len(inputs)):
-            if np.linalg.norm(inputs[i] - inputs[j]) <= tol:
-                pairs.append((i, j))
-    return pairs
+    i, j = np.nonzero(np.triu(_sq_dist(inputs, inputs) <= DUPLICATE_TOL**2, k=1))
+    return list(zip(i.tolist(), j.tolist()))
 
 
 class GpModel:
@@ -264,13 +272,7 @@ class GpModel:
         Variances are clamped to [0, prior_variance]; conditioning on data
         can only shrink them, so anything outside is round-off.
         """
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        if points.shape[1] != self.dim:
-            raise ValueError(
-                f"query points have dimension {points.shape[1]}, expected {self.dim}"
-            )
-        if not np.all(np.isfinite(points)):
-            raise ValueError("query points contain non-finite values")
+        points = _as_rows(np.atleast_2d(points), self.dim, "query points")
         kappa = self.prior_variance
         if len(self.data) == 0:
             n = points.shape[0]
@@ -287,29 +289,32 @@ class GpModel:
         means, variances = self.posterior_batch(x[None, :])
         return Posterior(mean=float(means[0]), variance=float(variances[0]))
 
-    def extended_log_det(self, points) -> float:
-        """ln det of the training covariance bordered by extra probe points.
+    def schur_complement(self, points) -> np.ndarray:
+        """Covariance of noisy observations at the points given the training data.
 
-        The (M + p) x (M + p) matrix appends, for each probe point, a
-        kernel row/column against the training inputs and a diagonal
-        entry of signal_variance + noise + jitter. Evaluated through the
-        cached factor and the p x p Schur complement.
+        k(P, P) + (noise + jitter) I - W^T W with W = L^{-1} k(X, P), shape
+        (p, p): the Schur complement of the training covariance in the
+        covariance bordered by the points P. A 1-D argument is one point.
         """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.shape[1] != self.dim:
-            raise ValueError(
-                f"border points have dimension {pts.shape[1]}, expected {self.dim}"
-            )
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("border points contain non-finite values")
+        pts = _as_rows(np.atleast_2d(points), self.dim, "border points")
         block = self.kernel.cross(pts, pts)
         block[np.diag_indices(pts.shape[0])] += self._diagonal_boost()
         if len(self.data) > 0:
             k = self.kernel.cross(self.data.inputs, pts)
             w = solve_triangular(self._chol, k, lower=True)
             block = block - w.T @ w
+        return block
+
+    def extended_log_det(self, points) -> float:
+        """ln det of the training covariance bordered by extra probe points.
+
+        The (M + p) x (M + p) matrix appends, for each probe point, a
+        kernel row/column against the training inputs and a diagonal
+        entry of signal_variance + noise + jitter: log_det() plus the
+        log-det of the points' schur_complement.
+        """
         try:
-            chol_block = np.linalg.cholesky(block)
+            chol_block = np.linalg.cholesky(self.schur_complement(points))
         except np.linalg.LinAlgError:
             raise FactorizationError(
                 "bordered covariance is singular; duplicate border points "

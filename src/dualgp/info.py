@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gp import GpModel
+from .gp import DUPLICATE_TOL, FactorizationError, GpModel, _as_rows, _sq_dist
 
 __all__ = [
     "CandidateSet",
@@ -24,28 +24,12 @@ __all__ = [
     "select_max_variance",
 ]
 
-# below this separation a candidate counts as a duplicate of a training input
-DUPLICATE_TOL = 1e-12
-
 
 class CandidateSet:
     """Finite set of d-dimensional points eligible as the next probe."""
 
     def __init__(self, points, dim=None):
-        points = np.asarray(points, dtype=float)
-        if points.size == 0:
-            if dim is None:
-                raise ValueError("empty CandidateSet needs an explicit dimension")
-            points = points.reshape(0, dim)
-        if points.ndim == 1:
-            points = points[:, None]
-        if points.ndim != 2:
-            raise ValueError(f"points must be an (n, d) array, got shape {points.shape}")
-        if dim is not None and points.shape[1] != dim:
-            raise ValueError(f"points have dimension {points.shape[1]}, expected {dim}")
-        if not np.all(np.isfinite(points)):
-            raise ValueError("candidate points contain non-finite values")
-        self.points = points
+        self.points = _as_rows(points, dim, "candidate points")
         self.points.setflags(write=False)
 
     @classmethod
@@ -87,13 +71,7 @@ def _check_disjoint(model: GpModel, candidates: CandidateSet):
     # keep Theta disjoint from the training inputs when picking a probe,
     # else the sigma=0 case goes singular and re-measuring known points
     # can look informative
-    if len(model.data) == 0:
-        return
-    d2 = np.sum(
-        (candidates.points[:, None, :] - model.data.inputs[None, :, :]) ** 2,
-        axis=-1,
-    )
-    hit = np.argwhere(np.sqrt(d2) <= DUPLICATE_TOL)
+    hit = np.argwhere(_sq_dist(candidates.points, model.data.inputs) <= DUPLICATE_TOL**2)
     if hit.size:
         i, j = hit[0]
         raise ValueError(
@@ -101,19 +79,33 @@ def _check_disjoint(model: GpModel, candidates: CandidateSet):
         )
 
 
+def _log_dets(dets, pivots):
+    """ln of bordered Schur determinants with leading pivots ``pivots``.
+
+    Raises exactly where the 1x1 or 2x2 Cholesky factorization of such a
+    block fails: a leading pivot or a determinant that is not positive.
+    """
+    if np.any(pivots <= 0) or np.any(dets <= 0):
+        raise FactorizationError(
+            "bordered covariance is singular; duplicate border points "
+            "with no noise or jitter on the diagonal"
+        )
+    return np.log(dets)
+
+
 def info_score(model: GpModel, candidates: CandidateSet, probe) -> float:
     """Summed log-det of the covariance bordered by (candidate, probe) pairs.
 
     One term per candidate x: ln det of the training covariance extended
     by both x and the probe. Lower totals mean the probe explains more of
-    the set. Deterministic in the iteration order of the set.
+    the set.
     """
     _require_scoreable(model, candidates)
     probe = np.asarray(probe, dtype=float).reshape(-1)
-    total = 0.0
-    for x in candidates.points:
-        total += model.extended_log_det(np.vstack([x, probe]))
-    return total
+    schur = model.schur_complement(np.vstack([candidates.points, probe]))
+    s = np.diag(schur)[:-1]
+    logs = _log_dets(s * schur[-1, -1] - schur[:-1, -1] ** 2, s)
+    return len(candidates) * model.log_det() + float(np.sum(logs))
 
 
 def aggregate_log_det(model: GpModel, candidates: CandidateSet) -> float:
@@ -124,16 +116,24 @@ def aggregate_log_det(model: GpModel, candidates: CandidateSet) -> float:
     predictive variance stays below one.
     """
     _require_scoreable(model, candidates)
-    return sum(model.extended_log_det(x[None, :]) for x in candidates.points)
+    s = np.diag(model.schur_complement(candidates.points))
+    return len(candidates) * model.log_det() + float(np.sum(_log_dets(s, s)))
 
 
 def select_exhaustive(model: GpModel, candidates: CandidateSet) -> SelectionResult:
-    """Probe minimizing info_score over the candidate set; ties take the lowest index."""
+    """Probe minimizing info_score over the candidate set; ties take the lowest index.
+
+    Scores every (candidate, probe) pair from one Schur complement S over
+    the set; the pair's border rows are separate observations, so the
+    noise stays off their shared entry even when both are one point.
+    """
     _require_scoreable(model, candidates)
     _check_disjoint(model, candidates)
-    scores = np.array(
-        [info_score(model, candidates, probe) for probe in candidates.points]
-    )
+    schur = model.schur_complement(candidates.points)
+    s = np.diag(schur)
+    off = schur - model._diagonal_boost() * np.eye(len(s))
+    logs = _log_dets(np.outer(s, s) - off**2, s)
+    scores = len(s) * model.log_det() + np.sum(logs, axis=0)
     idx = int(np.argmin(scores))
     return SelectionResult(index=idx, point=candidates.points[idx], score=float(scores[idx]))
 
@@ -194,15 +194,7 @@ def sample_candidates(
         raise ValueError(f"unknown mode {mode!r}: expected 'grid' or 'uniform_random'")
 
     if exclusions is not None:
-        excl = np.atleast_2d(np.asarray(exclusions, dtype=float))
-        if excl.size:
-            if excl.shape[1] != dim:
-                raise ValueError(
-                    f"exclusions have dimension {excl.shape[1]}, expected {dim}"
-                )
-            dist = np.sqrt(
-                np.sum((pts[:, None, :] - excl[None, :, :]) ** 2, axis=-1)
-            )
-            pts = pts[np.all(dist > DUPLICATE_TOL, axis=1)]
+        excl = _as_rows(np.atleast_2d(exclusions), dim, "exclusions")
+        pts = pts[np.all(_sq_dist(pts, excl) > DUPLICATE_TOL**2, axis=1)]
 
     return CandidateSet(pts, dim=dim)

@@ -294,6 +294,8 @@ class TestExtendedLogDet:
             sign, ref = np.linalg.slogdet(full)
             assert sign == 1.0
             assert gp.extended_log_det(borders) == pytest.approx(ref, abs=1e-10)
+            schur = full[M:, M:] - full[M:, :M] @ np.linalg.solve(full[:M, :M], full[:M, M:])
+            assert np.allclose(gp.schur_complement(borders), schur, rtol=0, atol=1e-10)
 
     def test_consistent_with_observation_append(self):
         # the bordered log-det equals log_det after absorbing the probe

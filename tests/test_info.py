@@ -17,6 +17,7 @@ SCORE_SINGLE = -0.17183209348270312  # ln(1.21 - exp(-1))
 LOG_121 = 0.1906203596086497         # ln(1.21)
 VAR_NEAR = 0.19995469659166554       # 1.1 - exp(-0.01)/1.1
 VAR_FAR = 1.0833494191920598         # 1.1 - exp(-4)/1.1
+SCORE_TWIN = -0.9173502907741637     # 2 ln(1 - exp(-1)), noise- and jitter-free
 
 
 def unit_kernel():
@@ -86,21 +87,29 @@ class TestInfoScore:
         theta = CandidateSet([[1e8], [-1e8]])
         assert info_score(model, theta, [0.0]) == pytest.approx(2 * LOG_121, abs=1e-12)
 
+    def test_twin_candidates_never_bordered_together(self):
+        # no noise or jitter: bordering the two equal candidates together
+        # would be singular, but the score only pairs each with the probe
+        model = GpModel.empty(KernelConfig(1.0, 1.0, 0.0), 0.0, dim=1)
+        theta = CandidateSet([[0.0], [0.0]])
+        assert info_score(model, theta, [1.0]) == pytest.approx(SCORE_TWIN, abs=1e-12)
+
     def test_equals_sum_of_assembled_matrices(self):
         rng = np.random.default_rng(41)
-        for _ in range(40):
-            model, theta = random_instance(rng)
-            probe = rng.uniform(2.5, 6, size=1)
-            want = sum(
-                dense_bordered_log_det(
-                    model.kernel,
-                    model.noise_variance,
-                    model.data.inputs,
-                    np.vstack([x, probe]),
+        for dim in (1, 2):
+            for _ in range(40):
+                model, theta = random_instance(rng, dim=dim)
+                probe = rng.uniform(2.5, 6, size=dim)
+                want = sum(
+                    dense_bordered_log_det(
+                        model.kernel,
+                        model.noise_variance,
+                        model.data.inputs,
+                        np.vstack([x, probe]),
+                    )
+                    for x in theta.points
                 )
-                for x in theta.points
-            )
-            assert info_score(model, theta, probe) == pytest.approx(want, abs=1e-9)
+                assert info_score(model, theta, probe) == pytest.approx(want, abs=1e-9)
 
     def test_empty_candidates_rejected(self):
         model = GpModel.empty(unit_kernel(), 0.1, dim=1)
@@ -140,26 +149,28 @@ class TestSelectExhaustive:
         assert out.index == 0
 
     def test_log_argmin_matches_linear_product_argmin(self):
-        # minimizing the summed logs and the product of determinants agree
+        # minimizing the summed logs and the product of determinants agree,
+        # and the reported score is the dense bordered sum of the choice
         rng = np.random.default_rng(42)
-        for _ in range(50):
-            model, theta = random_instance(rng, max_m=4, max_t=6)
-            products = []
-            for probe in theta.points:
-                dets = [
-                    np.exp(
+        for dim in (1, 2):
+            for _ in range(50):
+                model, theta = random_instance(rng, max_m=4, max_t=6, dim=dim)
+                log_dets = np.array([
+                    [
                         dense_bordered_log_det(
                             model.kernel,
                             model.noise_variance,
                             model.data.inputs,
                             np.vstack([x, probe]),
                         )
-                    )
-                    for x in theta.points
-                ]
-                products.append(np.prod(dets))
-            out = select_exhaustive(model, theta)
-            assert out.index == int(np.argmin(products))
+                        for x in theta.points
+                    ]
+                    for probe in theta.points
+                ])
+                products = np.prod(np.exp(log_dets), axis=1)
+                out = select_exhaustive(model, theta)
+                assert out.index == int(np.argmin(products))
+                assert out.score == pytest.approx(np.sum(log_dets[out.index]), abs=1e-9)
 
     def test_permutation_covariant(self):
         rng = np.random.default_rng(43)
