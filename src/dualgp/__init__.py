@@ -6,6 +6,7 @@ from .control import (
     AdditiveControlModel,
     BlackBoxModel,
     CartSideInfoModel,
+    EpisodeAborted,
     StepRecord,
     Weights,
     make_reference,
@@ -44,6 +45,7 @@ __all__ = [
     "CartSideInfoModel",
     "ConfigError",
     "DataSet",
+    "EpisodeAborted",
     "EpisodeResult",
     "FactorizationError",
     "GpModel",

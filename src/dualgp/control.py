@@ -20,8 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gp import FactorizationError, GpModel, KernelConfig, _as_rows
+from .plants import ObservationChannel, PlantDiverged
 
 __all__ = [
+    "EpisodeAborted",
     "ActionSet",
     "Weights",
     "IoModel",
@@ -36,6 +38,14 @@ __all__ = [
     "run_episode",
     "run_benchmark_episode",
 ]
+
+
+class EpisodeAborted(RuntimeError):
+    """Early stop at ``step``: ``records`` are the steps done, ``__cause__`` the reason."""
+
+    def __init__(self, step: int, cause: Exception, records: list):
+        super().__init__(f"step {step}: {cause}")
+        self.step, self.records = step, records
 
 
 class ActionSet:
@@ -367,42 +377,30 @@ def run_episode(plant, io: IoModel, phi: ActionSet, reference, weights: Weights,
 
     Deterministic given the seed: the only randomness is the observation
     noise stream. Returns one StepRecord per step; the io model keeps the
-    final GPs. Raises with the step index if the plant diverges or a GP
-    update hits a singular covariance.
+    final GPs. A plant divergence or singular GP update at step t raises
+    EpisodeAborted with the records of steps 0..t-1, plus step t's own
+    record when only its GP update failed.
     """
-    from .plants import ObservationChannel, PlantDiverged
-
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     ref = make_reference(reference)
     channel = ObservationChannel(noise_variance, seed=seed)
     y = channel.observe(plant)
     records = []
-    for t in range(steps):
-        r_t = ref(t)
-        choice = select_action(io, y, r_t, phi, weights.w1, weights.w2_at(t))
-        u = choice.action if phi.dim > 1 else float(choice.action[0])
-        try:
-            plant.step(u)
-        except PlantDiverged as exc:
-            wrapped = PlantDiverged(f"step {t}: {exc}")
-            wrapped.records = records  # completed steps, for partial traces
-            raise wrapped from None
-        y_next = channel.observe(plant)
-        records.append(
-            _finish_record(
+    try:
+        for t in range(steps):
+            r_t = ref(t)
+            choice = select_action(io, y, r_t, phi, weights.w1, weights.w2_at(t))
+            plant.step(choice.action if phi.dim > 1 else float(choice.action[0]))
+            y_next = channel.observe(plant)
+            records.append(_finish_record(
                 t, choice.action, y_next, r_t,
-                choice.predicted_mean, choice.predicted_variance,
-                choice.objective_value,
-            )
-        )
-        try:
+                choice.predicted_mean, choice.predicted_variance, choice.objective_value,
+            ))
             io.update(y, choice.action, y_next)
-        except FactorizationError as exc:
-            wrapped = FactorizationError(f"step {t}: {exc}")
-            wrapped.records = records
-            raise wrapped from None
-        y = y_next
+            y = y_next
+    except (PlantDiverged, FactorizationError) as exc:
+        raise EpisodeAborted(t, exc, records) from exc
     return records
 
 
@@ -414,6 +412,7 @@ def run_benchmark_episode(plant, phi: ActionSet, reference, steps: int,
     transitions and picks the one whose committed tracked output lands
     closest to the reference. No learning, no noise; variance fields are
     recorded as zero and the predicted mean is the exact one-step output.
+    A plant divergence at step t raises EpisodeAborted with steps 0..t-1.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -423,9 +422,9 @@ def run_benchmark_episode(plant, phi: ActionSet, reference, steps: int,
         raise ValueError("benchmark planning expects scalar actions")
     ref = make_reference(reference)
     records = []
-    for t in range(steps):
-        r_t = ref(t)
-        try:
+    try:
+        for t in range(steps):
+            r_t = ref(t)
             best = None
             for i, action in enumerate(phi.actions):
                 u = float(action[0])
@@ -437,18 +436,12 @@ def run_benchmark_episode(plant, phi: ActionSet, reference, steps: int,
                     best = (err, i)
             err, idx = best
             u = float(phi.actions[idx][0])
-            one_step = plant.simulate(plant.state, u)
-            predicted = plant.output_of(one_step)
+            predicted = plant.output_of(plant.simulate(plant.state, u))
             plant.step(u)
-            y_next = plant.output()
-        except PlantDiverged as exc:
-            wrapped = PlantDiverged(f"step {t}: {exc}")
-            wrapped.records = records
-            raise wrapped from None
-        records.append(
-            _finish_record(
-                t, phi.actions[idx].copy(), y_next, r_t,
+            records.append(_finish_record(
+                t, phi.actions[idx].copy(), plant.output(), r_t,
                 predicted, np.zeros_like(predicted), float(err),
-            )
-        )
+            ))
+    except PlantDiverged as exc:
+        raise EpisodeAborted(t, exc, records) from exc
     return records

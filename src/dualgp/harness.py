@@ -22,12 +22,13 @@ from .control import (
     AdditiveControlModel,
     BlackBoxModel,
     CartSideInfoModel,
+    EpisodeAborted,
     Weights,
     run_benchmark_episode,
     run_episode,
 )
 from .gp import FactorizationError, KernelConfig
-from .plants import CartParams, CartPlant, LogisticPlant, PlantDiverged
+from .plants import CartParams, CartPlant, LogisticPlant
 
 __all__ = [
     "EpisodeResult",
@@ -160,31 +161,31 @@ def summarize(cfg: dict, records: list) -> dict:
 
 
 def run_scenario(cfg: dict) -> EpisodeResult:
-    """Execute one resolved config end to end; never raises on divergence."""
+    """Execute one resolved config end to end; an early stop is returned, not raised.
+
+    ``aborted`` then holds the EpisodeAborted message and ``records`` the
+    steps done. Raises ConfigError if initial_data cannot be factorized.
+    """
     phi = build_action_set(cfg)
     plant = build_plant(cfg)
     io = build_io(cfg)
-    _apply_initial_data(io, cfg, phi)
+    try:
+        _apply_initial_data(io, cfg, phi)
+    except FactorizationError as exc:
+        raise ConfigError("initial_data", str(exc)) from exc
     aborted = None
-    if cfg["selection"] == "benchmark":
-        try:
+    try:
+        if cfg["selection"] == "benchmark":
             records = run_benchmark_episode(
                 plant, phi, cfg["target"], cfg["steps"], lookahead=cfg["lookahead"]
             )
-        except PlantDiverged as exc:
-            records = list(getattr(exc, "records", []))
-            aborted = str(exc)
-    else:
-        w = cfg["weights"]
-        weights = Weights(w["w1"], w["w2_start"], w["w2_end"], w["schedule_steps"])
-        try:
+        else:
             records = run_episode(
-                plant, io, phi, cfg["target"], weights, cfg["steps"],
+                plant, io, phi, cfg["target"], Weights(**cfg["weights"]), cfg["steps"],
                 seed=cfg["seed"], noise_variance=cfg["noise_variance"],
             )
-        except (PlantDiverged, FactorizationError) as exc:
-            records = list(getattr(exc, "records", []))
-            aborted = str(exc)
+    except EpisodeAborted as exc:
+        records, aborted = exc.records, str(exc)
     if aborted:
         log.info("episode aborted: %s", aborted)
     summary = summarize(cfg, records)

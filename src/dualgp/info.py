@@ -131,8 +131,11 @@ def select_exhaustive(model: GpModel, candidates: CandidateSet) -> SelectionResu
     _check_disjoint(model, candidates)
     schur = model.schur_complement(candidates.points)
     s = np.diag(schur)
-    off = schur - model._diagonal_boost() * np.eye(len(s))
-    logs = _log_dets(np.outer(s, s) - off**2, s)
+    dets = np.outer(s, s) - schur**2
+    # self-pair: s^2 - (s - boost)^2 without the cancellation of two near-equal squares
+    boost = model._diagonal_boost()
+    np.fill_diagonal(dets, boost * (2 * s - boost))
+    logs = _log_dets(dets, s)
     scores = len(s) * model.log_det() + np.sum(logs, axis=0)
     idx = int(np.argmin(scores))
     return SelectionResult(index=idx, point=candidates.points[idx], score=float(scores[idx]))

@@ -8,6 +8,7 @@ from dualgp.control import (
     AdditiveControlModel,
     BlackBoxModel,
     CartSideInfoModel,
+    EpisodeAborted,
     Weights,
     make_reference,
     objective,
@@ -61,6 +62,20 @@ class _FrozenPlant:
 
     def output(self):
         return np.array([self.value])
+
+
+class _DivergingPlant(_IdentityPlant):
+    """Identity plant whose step number ``at`` diverges."""
+
+    def __init__(self, at):
+        super().__init__()
+        self.at, self.steps = at, 0
+
+    def step(self, u):
+        if self.steps == self.at:
+            raise PlantDiverged("stub state is non-finite")
+        self.steps += 1
+        return super().step(u)
 
 
 class TestActionSet:
@@ -350,8 +365,9 @@ class TestRunEpisode:
         io = AdditiveControlModel(kern, noise_variance=0.0)
         plant = LogisticPlant(r_param=3.8, coupling="additive", state=5.0)
         phi = ActionSet.from_grid(-1.0, 1.0, 0.02)
-        with pytest.raises(PlantDiverged, match=r"step \d+:"):
+        with pytest.raises(EpisodeAborted, match=r"step \d+:") as info:
             run_episode(plant, io, phi, 0.8, Weights.constant(1, 1), steps=100)
+        assert isinstance(info.value.__cause__, PlantDiverged)
 
     def test_repeated_input_reports_step(self):
         # a frozen plant feeds the same y row to the GP twice; with zero
@@ -359,16 +375,49 @@ class TestRunEpisode:
         # naming the step
         kern = KernelConfig(signal_variance=0.5, length_scale=1.0, jitter=0.0)
         io = AdditiveControlModel(kern, noise_variance=0.0)
-        with pytest.raises(FactorizationError, match=r"step \d+:.*duplicate"):
+        with pytest.raises(EpisodeAborted, match=r"step \d+:.*duplicate") as info:
             run_episode(
                 _FrozenPlant(), io, ActionSet.from_grid(-1, 1, 0.5),
                 0.8, Weights.constant(1, 1), steps=5,
             )
+        assert isinstance(info.value.__cause__, FactorizationError)
 
     def test_steps_validated(self):
         plant, io, phi = self._logistic_setup()
         with pytest.raises(ValueError):
             run_episode(plant, io, phi, 0.8, Weights.constant(1, 1), steps=0)
+
+
+class TestEpisodeAborted:
+    """An early stop names its step and keeps exactly the completed records."""
+
+    @pytest.mark.parametrize("k", [0, 3])
+    @pytest.mark.parametrize("loop", ["learning", "benchmark"])
+    def test_plant_divergence_keeps_steps_before_it(self, loop, k):
+        plant, phi = _DivergingPlant(at=k), ActionSet.from_grid(0.0, 1.0, 0.25)
+        with pytest.raises(EpisodeAborted, match=rf"^step {k}: stub state") as info:
+            if loop == "learning":
+                io = AdditiveControlModel(KERN, noise_variance=0.01)
+                run_episode(plant, io, phi, 0.5, Weights.constant(1, 1), steps=10)
+            else:
+                run_benchmark_episode(plant, phi, 0.5, steps=10)
+        assert info.value.step == k
+        assert [r.step for r in info.value.records] == list(range(k))
+        assert isinstance(info.value.__cause__, PlantDiverged)
+
+    def test_update_failure_keeps_its_own_step(self):
+        # the frozen plant repeats its output, so with unit signal variance
+        # and no noise or jitter the second GP update (step 1) has a pivot
+        # of exactly 0 and fails after the plant completed that step
+        io = AdditiveControlModel(KernelConfig(1.0, 1.0, jitter=0.0), noise_variance=0.0)
+        with pytest.raises(EpisodeAborted) as info:
+            run_episode(
+                _FrozenPlant(), io, ActionSet.from_grid(-1, 1, 0.5),
+                0.8, Weights.constant(1, 1), steps=5,
+            )
+        assert info.value.step == 1
+        assert [r.step for r in info.value.records] == [0, 1]
+        assert isinstance(info.value.__cause__, FactorizationError)
 
 
 class TestCartEpisode:

@@ -23,6 +23,16 @@ from dualgp.harness import (
 )
 
 
+# benchmark mode with actions so large the cart's state overflows at step 1
+HUGE_ACTIONS = {"action_grid": {"min": 1e300, "max": 2e300, "step": 1e300}, "steps": 50}
+# three copies of one transition: singular with no noise and no jitter
+DUPLICATE_POINTS = {
+    "kernel": {"jitter": 0.0, "signal_variance": 1.0},
+    "initial_data": {"points": [[0.5, 0.0, 0.3]] * 3},
+    "steps": 2,
+}
+
+
 def cfg_for(scenario, **overrides):
     return resolve_config({"scenario": scenario, **overrides})
 
@@ -58,6 +68,17 @@ class TestRunScenario:
         assert result.aborted is not None
         assert "step" in result.aborted
         assert 0 < len(result.records) < cfg["steps"]
+
+    def test_benchmark_divergence_is_reported_not_raised(self):
+        result = run_scenario(cfg_for("cart_benchmark", **HUGE_ACTIONS))
+        assert result.aborted.startswith("step 1: cart state is non-finite")
+        assert [r.step for r in result.records] == [0]
+
+    def test_unfactorizable_initial_data_is_a_config_error(self):
+        with pytest.raises(ConfigError) as info:
+            run_scenario(cfg_for("logistic_linear", **DUPLICATE_POINTS))
+        assert info.value.field == "initial_data"
+        assert "singular" in str(info.value)
 
     def test_summary_stays_finite_after_abort(self):
         cfg = cfg_for("logistic_nonlinear", initial_data=None)
@@ -240,6 +261,22 @@ class TestCli:
         out = str(tmp_path / "trace.csv")
         assert main(["run", cfg, "--out", out]) == 2
         assert os.path.exists(out)  # partial trace still lands
+
+    def test_run_exit_2_on_benchmark_divergence(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path, {"scenario": "cart_benchmark", **HUGE_ACTIONS})
+        out = str(tmp_path / "trace.csv")
+        assert main(["run", cfg, "--out", out]) == 2
+        assert len(read_csv(out)) == 2  # header and the one completed step
+        assert "aborted: step 1:" in capsys.readouterr().err
+
+    def test_run_exit_1_on_unfactorizable_initial_data(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path, {"scenario": "logistic_linear", **DUPLICATE_POINTS})
+        out = str(tmp_path / "trace.csv")
+        assert main(["run", cfg, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert "config error: initial_data:" in err
+        assert "Traceback" not in err
+        assert not os.path.exists(out)
 
     def test_validate_prints_resolved_config(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path, {"scenario": "cart_dual", "steps": 11})

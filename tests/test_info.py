@@ -1,5 +1,8 @@
 """Information scoring and probe selection over candidate sets."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -171,6 +174,32 @@ class TestSelectExhaustive:
                 out = select_exhaustive(model, theta)
                 assert out.index == int(np.argmin(products))
                 assert out.score == pytest.approx(np.sum(log_dets[out.index]), abs=1e-9)
+
+    def test_noise_free_scores_match_exact_arithmetic(self):
+        # with no noise a self-pair determinant is about 2 * s * jitter;
+        # evaluate the same formula from the same Schur complement with
+        # exact rationals and compare the chosen score
+        rng = np.random.default_rng(44)
+        for _ in range(30):
+            kern = KernelConfig(
+                float(rng.uniform(0.2, 1.5)), float(rng.uniform(0.5, 2.0)), jitter=1e-9
+            )
+            data = DataSet(rng.uniform(-2, 2, size=(3, 1)), rng.normal(size=3))
+            model = GpModel(kern, 0.0, data)
+            theta = CandidateSet(rng.uniform(-2, 6, size=(8, 1)))
+            schur = [[Fraction(v) for v in row] for row in model.schur_complement(theta.points)]
+            boost = Fraction(kern.jitter)
+            n = len(theta)
+            scores = []
+            for j in range(n):
+                logs = []
+                for i in range(n):
+                    off = schur[i][j] - (boost if i == j else 0)
+                    logs.append(math.log(schur[i][i] * schur[j][j] - off * off))
+                scores.append(n * model.log_det() + math.fsum(logs))
+            out = select_exhaustive(model, theta)
+            assert out.index == int(np.argmin(scores))
+            assert out.score == pytest.approx(scores[out.index], rel=1e-12)
 
     def test_permutation_covariant(self):
         rng = np.random.default_rng(43)
