@@ -8,10 +8,11 @@ information scoring) is answered through triangular solves against that
 factor. No explicit matrix inverse is ever formed.
 """
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import get_lapack_funcs
 
 __all__ = [
     "FactorizationError",
@@ -25,10 +26,23 @@ __all__ = [
 LOG_2PI = float(np.log(2.0 * np.pi))
 # below this separation two points count as duplicates
 DUPLICATE_TOL = 1e-12
+_TRTRS = get_lapack_funcs("trtrs", (np.zeros((1, 1)),))
 
 
 class FactorizationError(ValueError):
     """Covariance matrix could not be factorized (not positive definite)."""
+
+
+def solve_triangular(chol, rhs, trans=False):
+    """Solve L x = rhs, or L^T x = rhs with ``trans``, for a C-ordered lower factor L.
+
+    scipy's dtrtrs call for such a factor, with the same bits, minus its
+    finiteness scans: every factor and right-hand side here is finite.
+    """
+    x, info = _TRTRS(chol.T, rhs, lower=False, trans=not trans)
+    if info != 0:
+        raise FactorizationError(f"triangular solve failed (LAPACK dtrtrs info {info})")
+    return x
 
 
 def _as_point(x, dim=None):
@@ -150,10 +164,29 @@ class Posterior:
     variance: float
 
 
-def _name_duplicates(inputs):
-    """Find index pairs of (near-)duplicate rows, for factorization error messages."""
+def _distinct_rows(points):
+    """Mask of each distinct row's first occurrence, and each row's index among those."""
+    n = points.shape[0]
+    order = np.lexsort(points.T)  # stable: copies of a row keep their input order
+    ranked = points[order]
+    new = np.ones(n, dtype=bool)
+    new[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    first = np.empty(n, dtype=np.intp)
+    first[order] = order[new][np.cumsum(new) - 1]
+    is_first = first == np.arange(n)
+    return is_first, (np.cumsum(is_first) - 1)[first]
+
+
+def _singular_error(inputs):
+    """FactorizationError for a singular training covariance, naming duplicate inputs."""
     i, j = np.nonzero(np.triu(_sq_dist(inputs, inputs) <= DUPLICATE_TOL**2, k=1))
-    return list(zip(i.tolist(), j.tolist()))
+    pairs = list(zip(i.tolist(), j.tolist()))
+    if pairs:
+        return FactorizationError(
+            "training covariance is singular; duplicate input pairs "
+            f"(index pairs {pairs}) with no noise or jitter on the diagonal"
+        )
+    return FactorizationError("training covariance is not positive definite")
 
 
 class GpModel:
@@ -172,13 +205,7 @@ class GpModel:
         self.kernel = kernel
         self.noise_variance = float(noise_variance)
         self.data = data
-        self._chol = self._factorize()
-        # alpha = C^{-1} y via two triangular solves
-        if len(data) > 0:
-            z = solve_triangular(self._chol, data.targets, lower=True)
-            self._alpha = solve_triangular(self._chol, z, lower=True, trans="T")
-        else:
-            self._alpha = np.zeros(0)
+        self._set_factor(self._factorize())
 
     @classmethod
     def empty(cls, kernel: KernelConfig, noise_variance: float, dim: int) -> "GpModel":
@@ -203,50 +230,43 @@ class GpModel:
         try:
             return np.linalg.cholesky(self.covariance_matrix())
         except np.linalg.LinAlgError:
-            pairs = _name_duplicates(self.data.inputs)
-            if pairs:
-                raise FactorizationError(
-                    "training covariance is singular; duplicate input pairs "
-                    f"(index pairs {pairs}) with no noise or jitter on the diagonal"
-                ) from None
-            raise FactorizationError(
-                "training covariance is not positive definite"
-            ) from None
+            raise _singular_error(self.data.inputs) from None
+
+    def _set_factor(self, chol):
+        """Adopt the Cholesky factor and compute alpha = C^{-1} y from it."""
+        self._chol = chol
+        if len(self.data) > 0:
+            z = solve_triangular(chol, self.data.targets)
+            self._alpha = solve_triangular(chol, z, trans=True)
+        else:
+            self._alpha = np.zeros(0)
 
     def with_observation(self, x, y) -> "GpModel":
         """New model with one more (input, target) pair.
 
         Extends the cached factor by a single row instead of refactorizing
-        the full matrix; falls back to a full factorization if round-off
-        makes the extended pivot non-positive.
+        the full matrix. A squared pivot of at most (M + 1) eps (signal_variance
+        + noise + jitter), M the stored points, is round-off: FactorizationError.
         """
         x = _as_point(x, dim=self.dim)
         new_data = self.data.append(x, y)
         n = len(self.data)
+        w = np.zeros(0)
         if n > 0:
             k = self.kernel.cross(self.data.inputs, x[None, :])[:, 0]
-            w = solve_triangular(self._chol, k, lower=True)
-            pivot = self.kernel.signal_variance + self._diagonal_boost() - float(w @ w)
-        else:
-            w = np.zeros(0)
-            pivot = self.kernel.signal_variance + self._diagonal_boost()
-        if pivot <= 0:
-            return GpModel(self.kernel, self.noise_variance, new_data)
-        extended = np.zeros((n + 1, n + 1))
+            w = solve_triangular(self._chol, k)
+        diagonal = self.kernel.signal_variance + self._diagonal_boost()
+        pivot = diagonal - float(w @ w)
+        if pivot <= (n + 1) * np.finfo(float).eps * diagonal:
+            raise _singular_error(new_data.inputs)
+        extended = np.empty((n + 1, n + 1))
         extended[:n, :n] = self._chol
+        extended[:n, n] = 0.0
         extended[n, :n] = w
         extended[n, n] = np.sqrt(pivot)
-        return GpModel._from_factor(self.kernel, self.noise_variance, new_data, extended)
-
-    @classmethod
-    def _from_factor(cls, kernel, noise_variance, data, chol) -> "GpModel":
-        model = cls.__new__(cls)
-        model.kernel = kernel
-        model.noise_variance = float(noise_variance)
-        model.data = data
-        model._chol = chol
-        z = solve_triangular(chol, data.targets, lower=True)
-        model._alpha = solve_triangular(chol, z, lower=True, trans="T")
+        model = copy.copy(self)
+        model.data = new_data
+        model._set_factor(extended)
         return model
 
     # -- queries -----------------------------------------------------------
@@ -269,6 +289,8 @@ class GpModel:
     def posterior_batch(self, points: np.ndarray):
         """Means and variances at many query points, shape (n,) each.
 
+        Each distinct row is solved against the factor once, and its
+        variance goes to every copy of it; the mean is still taken per row.
         Variances are clamped to [0, prior_variance]; conditioning on data
         can only shrink them, so anything outside is round-off.
         """
@@ -277,10 +299,14 @@ class GpModel:
         if len(self.data) == 0:
             n = points.shape[0]
             return np.zeros(n), np.full(n, kappa)
-        k = self.kernel.cross(self.data.inputs, points)
-        means = k.T @ self._alpha
-        w = solve_triangular(self._chol, k, lower=True)
-        variances = kappa - np.sum(w * w, axis=0)
+        # distinct rows in input order, so all-distinct points are solved as given
+        is_first, copies = _distinct_rows(points)
+        k = self.kernel.cross(self.data.inputs, points[is_first])
+        # np.take keeps C order and so the bits of k(X, points).T @ alpha; k[:, copies] would not
+        per_row = k if is_first.all() else np.take(k, copies, axis=1)
+        means = per_row.T @ self._alpha
+        w = solve_triangular(self._chol, k)
+        variances = (kappa - np.sum(w * w, axis=0))[copies]
         return means, np.clip(variances, 0.0, kappa)
 
     def posterior(self, x) -> Posterior:
@@ -301,7 +327,7 @@ class GpModel:
         block[np.diag_indices(pts.shape[0])] += self._diagonal_boost()
         if len(self.data) > 0:
             k = self.kernel.cross(self.data.inputs, pts)
-            w = solve_triangular(self._chol, k, lower=True)
+            w = solve_triangular(self._chol, k)
             block = block - w.T @ w
         return block
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from dualgp.gp import (
@@ -10,6 +11,7 @@ from dualgp.gp import (
     GpModel,
     KernelConfig,
     gaussian_entropy,
+    solve_triangular,
 )
 
 # frozen reference values, computed from the closed forms with numpy
@@ -187,6 +189,33 @@ class TestPosterior:
         assert np.all(variances >= 0.0)
         assert np.all(variances <= gp.prior_variance + 1e-15)
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("distinct", [1, 5, 101])
+    def test_means_are_the_per_row_product(self, dim, distinct):
+        # noise-free, so |alpha| is large and any other BLAS path moves the last bits
+        rng = np.random.default_rng(16)
+        X = rng.uniform(-2, 2, size=(300, dim))
+        gp = GpModel(KernelConfig(signal_variance=0.7), 0.0, DataSet(X, rng.normal(size=300)))
+        rows = rng.uniform(-2, 2, size=(distinct, dim))
+        Q = rows if distinct == 101 else rows[rng.integers(0, distinct, size=101)]
+        means, _ = gp.posterior_batch(Q)
+        assert means.tobytes() == (gp.kernel.cross(X, Q).T @ gp._alpha).tobytes()
+
+    def test_repeated_rows_share_one_variance(self):
+        kern = KernelConfig(signal_variance=0.8, length_scale=0.9, jitter=0.0)
+        rng = np.random.default_rng(17)
+        X = rng.uniform(-2, 2, size=(8, 1))
+        y = rng.normal(size=8)
+        gp = GpModel(kern, 0.05, DataSet(X, y))
+        Q = np.array([[0.3], [-1.0], [0.3], [0.3], [-1.0], [1.7]])
+        means, variances = gp.posterior_batch(Q)
+        assert variances[0] == variances[2] == variances[3]
+        assert variances[1] == variances[4]
+        for q, mean, var in zip(Q, means, variances):
+            mean_ref, var_ref = reference_posterior(kern, 0.05, X, y, q)
+            assert mean == pytest.approx(mean_ref, abs=1e-12)
+            assert var == pytest.approx(var_ref, abs=1e-12)
+
     def test_dimension_mismatch_rejected(self):
         gp = GpModel.empty(KernelConfig(), 0.1, dim=2)
         with pytest.raises(ValueError):
@@ -198,6 +227,23 @@ class TestPosterior:
         gp = GpModel.empty(KernelConfig(), 0.1, dim=1)
         with pytest.raises(ValueError):
             gp.posterior([np.nan])
+
+
+class TestSolveTriangular:
+    def test_same_bits_as_scipy(self):
+        rng = np.random.default_rng(18)
+        X = rng.uniform(-2, 2, size=(60, 1))
+        chol = np.linalg.cholesky(GpModel(KernelConfig(), 0.0, DataSet(X, np.zeros(60)))
+                                  .covariance_matrix())
+        for rhs in (rng.normal(size=60), rng.normal(size=(60, 7))):
+            for trans in (False, True):
+                expected = scipy.linalg.solve_triangular(chol, rhs, lower=True, trans=int(trans))
+                assert solve_triangular(chol, rhs, trans=trans).tobytes() == expected.tobytes()
+
+    def test_zero_diagonal_raises(self):
+        chol = np.array([[1.0, 0.0], [0.5, 0.0]])
+        with pytest.raises(FactorizationError, match="info 2"):
+            solve_triangular(chol, np.ones(2))
 
 
 class TestIncrementalUpdate:
@@ -321,6 +367,14 @@ class TestFactorizationError:
         data = DataSet([[0.5], [2.0], [0.5]], [1.0, 2.0, 3.0])
         with pytest.raises(FactorizationError, match=r"\(0, 2\)"):
             GpModel(kern, 0.0, data)
+
+    @pytest.mark.parametrize("signal_variance", [0.3, 0.5, 0.7, 1.0])
+    def test_repeated_append_without_noise_raises(self, signal_variance):
+        # the last pivot is 0 in exact arithmetic, whatever round-off leaves of it
+        kern = KernelConfig(signal_variance=signal_variance, length_scale=1.0, jitter=0.0)
+        gp = GpModel.empty(kern, 0.0, dim=1).with_observation([0.5], 1.0)
+        with pytest.raises(FactorizationError, match=r"\(0, 1\)"):
+            gp.with_observation([0.5], 2.0)
 
     def test_noise_rescues_duplicates(self):
         kern = KernelConfig(signal_variance=1.0, length_scale=1.0, jitter=0.0)
