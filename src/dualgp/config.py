@@ -2,13 +2,15 @@
 
 Each experiment is one JSON file naming a scenario; every other field is
 optional and overrides that scenario's baked-in defaults. Resolution
-deep-merges the overrides, validates per field, and returns a plain dict
-whose shape is stable enough to snapshot in tests. Errors carry the
-dotted field path that caused them.
+deep-merges the overrides, checks each against the type and bound of the
+default it replaces, then applies the rules that tie fields together. The
+result is a plain dict whose shape is stable enough to snapshot in tests.
+Errors carry the dotted field path that caused them.
 """
 
 import json
 import math
+import sys
 
 __all__ = ["ConfigError", "SCENARIOS", "load_config", "resolve_config", "scenario_defaults"]
 
@@ -93,6 +95,37 @@ _DEFAULTS = {
 }
 
 
+# lower bound of each bounded numeric field: (minimum, exclusive)
+_BOUNDS = {
+    "plant.r_param": (0.0, True),
+    "plant.timestep": (0.0, True),
+    "plant.friction": (0.0, True),
+    "plant.cart_mass": (0.0, True),
+    "plant.arm_length": (0.0, True),
+    "plant.gravity": (0.0, True),
+    "plant.pendulum_mass": (0.0, True),
+    "action_grid.step": (0.0, True),
+    "kernel.signal_variance": (0.0, True),
+    "kernel.length_scale": (0.0, True),
+    "kernel.jitter": (0.0, False),
+    "noise_variance": (0.0, False),
+    "weights.w1": (0.0, False),
+    "weights.w2_start": (0.0, False),
+    "weights.w2_end": (0.0, False),
+    "weights.schedule_steps": (0, False),
+    "steps": (1, False),
+    "seed": (0, False),
+    "lookahead": (1, False),
+    "initial_data.count": (1, False),
+}
+
+# string fields with a choice; any other string field is fixed to its default
+_CHOICES = {"plant.coupling": ("additive", "cosine"), "selection": ("dual", "benchmark")}
+
+# initial_data's random draws, each checked like any other leaf
+_DRAWS = {"count": 1, "low": 0.0, "high": 0.0}
+
+
 class ConfigError(ValueError):
     """Validation failure tied to one dotted config field."""
 
@@ -103,7 +136,7 @@ class ConfigError(ValueError):
 
 def scenario_defaults(scenario: str) -> dict:
     """Deep copy of one scenario's fully resolved default config."""
-    if scenario not in _DEFAULTS:
+    if scenario not in SCENARIOS:
         raise ConfigError("scenario", f"unknown scenario {scenario!r}, expected one of {SCENARIOS}")
     return json.loads(json.dumps(_DEFAULTS[scenario]))
 
@@ -114,11 +147,51 @@ def load_config(path) -> dict:
             raw = json.load(fh)
     except FileNotFoundError:
         raise ConfigError("<config>", f"no such file: {path}") from None
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError("<config>", f"cannot read {path}: {exc.strerror}") from None
+    except ValueError as exc:  # bad JSON, bytes that are not UTF-8, oversized integers
         raise ConfigError("<config>", f"invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("<config>", "top level must be a JSON object")
     return raw
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _float(field, value) -> float:
+    if not _is_number(value):
+        raise ConfigError(field, f"expected a number, got {value!r}")
+    if not -sys.float_info.max <= value <= sys.float_info.max:  # NaN, inf or too large an int
+        raise ConfigError(field, f"must be finite, got {value!r}")
+    return float(value)
+
+
+def _leaf(field, default, value):
+    """Check one value against the type of its default and its bound in _BOUNDS."""
+    if isinstance(default, str):
+        allowed = _CHOICES.get(field, (default,))
+        if value not in allowed:
+            raise ConfigError(field, f"expected {' or '.join(map(repr, allowed))}, got {value!r}")
+        return value
+    if isinstance(default, list):
+        if _is_number(value):
+            value = [value]
+        if not isinstance(value, list) or not all(_is_number(v) for v in value):
+            raise ConfigError(field, f"expected a number list, got {value!r}")
+        if len(value) != len(default):
+            raise ConfigError(field, f"expected {len(default)} component(s), got {len(value)}")
+        return [_float(field, v) for v in value]
+    if isinstance(default, float):
+        value = _float(field, value)
+    elif isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(field, f"expected an integer, got {value!r}")
+    if field in _BOUNDS:
+        minimum, exclusive = _BOUNDS[field]
+        if not (value > minimum if exclusive else value >= minimum):
+            raise ConfigError(field, f"must be {'>' if exclusive else '>='} {minimum}, got {value}")
+    return value
 
 
 def _merge(base: dict, override: dict, path: str) -> dict:
@@ -127,62 +200,18 @@ def _merge(base: dict, override: dict, path: str) -> dict:
         field = f"{path}.{key}" if path else key
         if key not in base:
             raise ConfigError(field, "unknown field")
-        if isinstance(base[key], dict) and key != "initial_data":
+        if key == "initial_data":
+            out[key] = value  # replaced wholesale, checked by _initial_data
+        elif isinstance(base[key], dict):
             if not isinstance(value, dict):
                 raise ConfigError(field, f"expected an object, got {type(value).__name__}")
             out[key] = _merge(base[key], value, field)
         else:
-            out[key] = value
+            out[key] = _leaf(field, base[key], value)
     return out
 
 
-def _number(cfg, field, *, minimum=None, exclusive=False, allow_zero_neg=False):
-    parts = field.split(".")
-    value = cfg
-    for p in parts:
-        value = value[p]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(field, f"expected a number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value):
-        raise ConfigError(field, f"must be finite, got {value!r}")
-    if minimum is not None:
-        if exclusive and not value > minimum:
-            raise ConfigError(field, f"must be > {minimum}, got {value}")
-        if not exclusive and not value >= minimum:
-            raise ConfigError(field, f"must be >= {minimum}, got {value}")
-    return value
-
-
-def _integer(cfg, field, minimum):
-    parts = field.split(".")
-    value = cfg
-    for p in parts:
-        value = value[p]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(field, f"expected an integer, got {value!r}")
-    if value < minimum:
-        raise ConfigError(field, f"must be >= {minimum}, got {value}")
-    return value
-
-
-def _vector(cfg, field, length):
-    value = cfg[field]
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        value = [float(value)]
-    if not isinstance(value, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
-    ):
-        raise ConfigError(field, f"expected a number list, got {value!r}")
-    value = [float(v) for v in value]
-    if len(value) != length:
-        raise ConfigError(field, f"expected {length} component(s), got {len(value)}")
-    if not all(math.isfinite(v) for v in value):
-        raise ConfigError(field, f"must be finite, got {value}")
-    return value
-
-
-def _validate_initial_data(cfg):
+def _initial_data(cfg):
     block = cfg["initial_data"]
     if block is None:
         return None
@@ -190,100 +219,41 @@ def _validate_initial_data(cfg):
         raise ConfigError("initial_data", "expected null or an object")
     if cfg["selection"] == "benchmark":
         raise ConfigError("initial_data", "the full-knowledge planner does not learn; remove it")
-    has_points = "points" in block
-    has_count = "count" in block
-    if has_points == has_count:
+    if ("points" in block) == ("count" in block):
         raise ConfigError("initial_data", "give exactly one of 'points' or 'count'")
-    if has_count:
-        for key in block:
-            if key not in ("count", "low", "high"):
-                raise ConfigError(f"initial_data.{key}", "unknown field")
-        if cfg["plant"]["kind"] != "logistic":
-            raise ConfigError(
-                "initial_data.count",
-                "random draws need a scalar observation; give explicit points",
-            )
-        count = _integer({"initial_data": block}, "initial_data.count", 1)
-        low = _number({"initial_data": block}, "initial_data.low")
-        high = _number({"initial_data": block}, "initial_data.high")
-        if not high > low:
-            raise ConfigError("initial_data.high", f"must exceed low={low}, got {high}")
-        return {"count": count, "low": low, "high": high}
     for key in block:
-        if key != "points":
+        if key not in (("points",) if "points" in block else _DRAWS):
             raise ConfigError(f"initial_data.{key}", "unknown field")
-    points = block["points"]
-    obs = 1 if cfg["plant"]["kind"] == "logistic" else 2
-    width = obs + 1 + obs  # observation, action, next observation
-    if not isinstance(points, list) or not points:
-        raise ConfigError("initial_data.points", "expected a nonempty list of rows")
-    rows = []
-    for i, row in enumerate(points):
-        ok = (
-            isinstance(row, list)
-            and len(row) == width
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in row)
-            and all(math.isfinite(float(v)) for v in row)
+    logistic = cfg["plant"]["kind"] == "logistic"
+    if "points" in block:
+        points = block["points"]
+        if not isinstance(points, list) or not points:
+            raise ConfigError("initial_data.points", "expected a nonempty list of rows")
+        row = [0.0] * (3 if logistic else 5)  # observation, action, next observation
+        return {"points": [_leaf(f"initial_data.points[{i}]", row, r) for i, r in enumerate(points)]}
+    if not logistic:
+        raise ConfigError(
+            "initial_data.count", "random draws need a scalar observation; give explicit points"
         )
-        if not ok:
-            raise ConfigError(
-                f"initial_data.points[{i}]",
-                f"expected {width} finite numbers (observation, action, next observation)",
-            )
-        rows.append([float(v) for v in row])
-    return {"points": rows}
+    draws = {k: _leaf(f"initial_data.{k}", d, block.get(k)) for k, d in _DRAWS.items()}
+    if not draws["high"] > draws["low"]:
+        raise ConfigError("initial_data.high", f"must exceed low={draws['low']}, got {draws['high']}")
+    return draws
 
 
 def resolve_config(raw: dict) -> dict:
-    """Merge a user config over its scenario defaults and validate every field."""
+    """Merge a user config over its scenario defaults; check each field, then cross-field rules."""
     if "scenario" not in raw:
         raise ConfigError("scenario", "required")
-    base = scenario_defaults(raw["scenario"])
-    cfg = _merge(base, raw, "")
-
-    plant = cfg["plant"]
-    if plant["kind"] != base["plant"]["kind"]:
-        raise ConfigError("plant.kind", "fixed by the scenario, cannot be overridden")
-    if plant["kind"] == "logistic":
-        _number(cfg, "plant.r_param", minimum=0.0, exclusive=True)
-        if plant["coupling"] not in ("additive", "cosine"):
-            raise ConfigError("plant.coupling", f"expected 'additive' or 'cosine', got {plant['coupling']!r}")
-        if plant["coupling"] == "cosine" and plant["r_param"] != 3.8:
-            raise ConfigError("plant.r_param", "the cosine-coupled map is calibrated for r=3.8")
-        cfg["x0"] = _vector(cfg, "x0", 1)
-    else:
-        for key in ("timestep", "friction", "cart_mass", "arm_length", "gravity", "pendulum_mass"):
-            _number(cfg, f"plant.{key}", minimum=0.0, exclusive=True)
-        cfg["x0"] = _vector(cfg, "x0", 4)
-
-    cfg["target"] = _vector(cfg, "target", 1)
-
-    lo = _number(cfg, "action_grid.min")
-    hi = _number(cfg, "action_grid.max")
-    step = _number(cfg, "action_grid.step", minimum=0.0, exclusive=True)
-    if not hi > lo:
-        raise ConfigError("action_grid.max", f"must exceed min={lo}, got {hi}")
-    cfg["action_grid"] = {"min": lo, "max": hi, "step": step}
-
-    _number(cfg, "kernel.signal_variance", minimum=0.0, exclusive=True)
-    _number(cfg, "kernel.length_scale", minimum=0.0, exclusive=True)
-    _number(cfg, "kernel.jitter", minimum=0.0)
-    _number(cfg, "noise_variance", minimum=0.0)
-
-    _number(cfg, "weights.w1", minimum=0.0)
-    _number(cfg, "weights.w2_start", minimum=0.0)
-    _number(cfg, "weights.w2_end", minimum=0.0)
-    _integer(cfg, "weights.schedule_steps", 0)
-    w = cfg["weights"]
+    cfg = _merge(scenario_defaults(raw["scenario"]), raw, "")
+    plant, grid, w = cfg["plant"], cfg["action_grid"], cfg["weights"]
+    if plant.get("coupling") == "cosine" and plant["r_param"] != 3.8:
+        raise ConfigError(
+            "plant.r_param", f"the cosine-coupled map is calibrated for r=3.8, got {plant['r_param']}"
+        )
+    if not grid["max"] > grid["min"]:
+        raise ConfigError("action_grid.max", f"must exceed min={grid['min']}, got {grid['max']}")
     if w["w1"] + min(w["w2_start"], w["w2_end"]) <= 0:
         raise ConfigError("weights.w1", "w1 + w2(t) must stay positive for all t")
-
-    cfg["steps"] = _integer(cfg, "steps", 1)
-    cfg["seed"] = _integer(cfg, "seed", 0)
-    cfg["lookahead"] = _integer(cfg, "lookahead", 1)
-
-    if cfg["selection"] not in ("dual", "benchmark"):
-        raise ConfigError("selection", f"expected 'dual' or 'benchmark', got {cfg['selection']!r}")
-
-    cfg["initial_data"] = _validate_initial_data(cfg)
+    cfg["initial_data"] = _initial_data(cfg)
     return cfg

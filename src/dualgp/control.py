@@ -114,10 +114,9 @@ class IoModel:
     their GpModel list; update() replaces entries in place.
     """
 
-    structure = "abstract"
-
-    def __init__(self, gps):
+    def __init__(self, gps, obs_dim: int):
         self.gps = list(gps)
+        self.obs_dim = obs_dim
 
     # subclasses: build the (n_actions, d_in) GP input rows for one output y
     def candidate_inputs(self, y, actions: np.ndarray) -> np.ndarray:
@@ -135,10 +134,6 @@ class IoModel:
 
     # subclasses: per-transition (input, target) pairs, one target per GP
     def training_pair(self, y, u, y_next):
-        raise NotImplementedError
-
-    @property
-    def obs_dim(self) -> int:
         raise NotImplementedError
 
     def predict_batch(self, y, actions: np.ndarray):
@@ -179,20 +174,13 @@ class AdditiveControlModel(IoModel):
     structure needs no exploration incentive.
     """
 
-    structure = "additive_control"
-
     def __init__(self, kernel: KernelConfig, noise_variance: float, obs_dim: int = 1):
         super().__init__(
-            GpModel.empty(kernel, noise_variance, dim=obs_dim) for _ in range(obs_dim)
+            (GpModel.empty(kernel, noise_variance, dim=obs_dim) for _ in range(obs_dim)), obs_dim
         )
-        self._obs_dim = obs_dim
-
-    @property
-    def obs_dim(self) -> int:
-        return self._obs_dim
 
     def candidate_inputs(self, y, actions):
-        if actions.shape[1] != self._obs_dim:
+        if actions.shape[1] != self.obs_dim:
             raise ValueError("additive control needs action dim == output dim")
         return np.repeat(y[None, :], len(actions), axis=0)
 
@@ -206,19 +194,12 @@ class AdditiveControlModel(IoModel):
 class BlackBoxModel(IoModel):
     """No structural knowledge: the GP maps (y, u) directly to the next y."""
 
-    structure = "black_box"
-
     def __init__(self, kernel: KernelConfig, noise_variance: float,
                  obs_dim: int = 1, act_dim: int = 1):
         super().__init__(
-            GpModel.empty(kernel, noise_variance, dim=obs_dim + act_dim)
-            for _ in range(obs_dim)
+            (GpModel.empty(kernel, noise_variance, dim=obs_dim + act_dim) for _ in range(obs_dim)),
+            obs_dim,
         )
-        self._obs_dim = obs_dim
-
-    @property
-    def obs_dim(self) -> int:
-        return self._obs_dim
 
     def candidate_inputs(self, y, actions):
         return np.hstack([np.repeat(y[None, :], len(actions), axis=0), actions])
@@ -240,17 +221,11 @@ class CartSideInfoModel(IoModel):
     pos + T*vel + T*predicted_vel.
     """
 
-    structure = "partial_side_info"
-
     def __init__(self, kernel: KernelConfig, noise_variance: float, timestep: float):
-        super().__init__([GpModel.empty(kernel, noise_variance, dim=2)])
+        super().__init__([GpModel.empty(kernel, noise_variance, dim=2)], obs_dim=2)
         if not (timestep > 0):
             raise ValueError(f"timestep must be > 0, got {timestep}")
         self.timestep = timestep
-
-    @property
-    def obs_dim(self) -> int:
-        return 2
 
     def candidate_inputs(self, y, actions):
         if y.shape[0] != 2:

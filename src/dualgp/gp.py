@@ -46,15 +46,11 @@ def solve_triangular(chol, rhs, trans=False):
 
 
 def _as_point(x, dim=None):
-    """Coerce a query point to a finite 1-D float vector."""
+    """Coerce one point (a scalar is a 1-D point) to a finite (1, d) float row."""
     p = np.atleast_1d(np.asarray(x, dtype=float))
-    if p.ndim != 1:
-        raise ValueError(f"query point must be a vector, got shape {p.shape}")
-    if not np.all(np.isfinite(p)):
-        raise ValueError(f"query point contains non-finite values: {p}")
-    if dim is not None and p.shape[0] != dim:
-        raise ValueError(f"query point has dimension {p.shape[0]}, expected {dim}")
-    return p
+    if p.ndim != 1 or p.size == 0:
+        raise ValueError(f"a point must be a nonempty vector, got shape {p.shape}")
+    return _as_rows(p[None, :], dim, "points")
 
 
 def _as_rows(values, dim, what):
@@ -110,7 +106,7 @@ class KernelConfig:
     def value(self, x, x2) -> float:
         """Kernel between two points; symmetric, in (0, signal_variance]."""
         p = _as_point(x)
-        q = _as_point(x2, dim=p.shape[0])
+        q = _as_point(x2, dim=p.shape[1])
         return float(self.cross(p, q)[0, 0])
 
     def cross(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -148,9 +144,8 @@ class DataSet:
         return self.inputs.shape[0]
 
     def append(self, x, y) -> "DataSet":
-        x = _as_point(x, dim=self.dim)
         return DataSet(
-            np.vstack([self.inputs, x[None, :]]),
+            np.vstack([self.inputs, _as_point(x, dim=self.dim)]),
             np.append(self.targets, float(y)),
             dim=self.dim,
         )
@@ -248,12 +243,11 @@ class GpModel:
         the full matrix. A squared pivot of at most (M + 1) eps (signal_variance
         + noise + jitter), M the stored points, is round-off: FactorizationError.
         """
-        x = _as_point(x, dim=self.dim)
         new_data = self.data.append(x, y)
         n = len(self.data)
         w = np.zeros(0)
         if n > 0:
-            k = self.kernel.cross(self.data.inputs, x[None, :])[:, 0]
+            k = self.kernel.cross(self.data.inputs, new_data.inputs[n:])[:, 0]
             w = solve_triangular(self._chol, k)
         diagonal = self.kernel.signal_variance + self._diagonal_boost()
         pivot = diagonal - float(w @ w)
@@ -311,8 +305,7 @@ class GpModel:
 
     def posterior(self, x) -> Posterior:
         """Predictive distribution at one point."""
-        x = _as_point(x, dim=self.dim)
-        means, variances = self.posterior_batch(x[None, :])
+        means, variances = self.posterior_batch(_as_point(x, dim=self.dim))
         return Posterior(mean=float(means[0]), variance=float(variances[0]))
 
     def schur_complement(self, points) -> np.ndarray:

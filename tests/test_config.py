@@ -203,6 +203,92 @@ class TestFieldErrors:
     def test_nonfinite_target(self):
         assert self.field_of({"scenario": "cart_dual", "target": [math.inf]}) == "target"
 
+    @pytest.mark.parametrize(
+        "raw,field",
+        [
+            ({"scenario": ["x"]}, "scenario"),
+            ({"scenario": "cart_dual", "kernel": {"jitter": 10**400}}, "kernel.jitter"),
+            ({"scenario": "cart_dual", "x0": [0, 0, 0, -(10**400)]}, "x0"),
+            (
+                {"scenario": "logistic_nonlinear",
+                 "initial_data": {"count": 3, "low": 0, "high": 10**400}},
+                "initial_data.high",
+            ),
+            (
+                {"scenario": "logistic_linear", "initial_data": {"points": [[0, 0, 10**400]]}},
+                "initial_data.points[0]",
+            ),
+            ({"scenario": "logistic_nonlinear", "initial_data": {"count": 3}}, "initial_data.low"),
+        ],
+    )
+    def test_malformed_value_is_a_config_error(self, raw, field):
+        # unhashable, beyond float range, or missing: each used to escape as a
+        # TypeError, OverflowError or KeyError
+        assert self.field_of(raw) == field
+
+
+# every bounded field as (minimum, exclusive), stated here independently of config.py
+BOUNDS = {
+    "plant.r_param": (0.0, True),
+    "plant.timestep": (0.0, True),
+    "plant.friction": (0.0, True),
+    "plant.cart_mass": (0.0, True),
+    "plant.arm_length": (0.0, True),
+    "plant.gravity": (0.0, True),
+    "plant.pendulum_mass": (0.0, True),
+    "action_grid.step": (0.0, True),
+    "kernel.signal_variance": (0.0, True),
+    "kernel.length_scale": (0.0, True),
+    "kernel.jitter": (0.0, False),
+    "noise_variance": (0.0, False),
+    "weights.w1": (0.0, False),
+    "weights.w2_start": (0.0, False),
+    "weights.w2_end": (0.0, False),
+    "weights.schedule_steps": (0, False),
+    "steps": (1, False),
+    "seed": (0, False),
+    "lookahead": (1, False),
+    "initial_data.count": (1, False),
+}
+
+
+def _with_value(field, value):
+    """A config setting one dotted field, in a scenario that has that field."""
+    if field == "initial_data.count":
+        block = {"count": value, "low": 0.0, "high": 1.0}
+        return {"scenario": "logistic_nonlinear", "initial_data": block}
+    scenario = "logistic_linear"
+    if field.startswith("plant.") and field != "plant.r_param":
+        scenario = "cart_dual"
+    raw = {"scenario": scenario}
+    *parents, leaf = field.split(".")
+    node = raw
+    for key in parents:
+        node = node.setdefault(key, {})
+    node[leaf] = value
+    return raw
+
+
+def _resolved(cfg, field):
+    for key in field.split("."):
+        cfg = cfg[key]
+    return cfg
+
+
+class TestBounds:
+    @pytest.mark.parametrize("field", sorted(BOUNDS))
+    def test_minimum(self, field):
+        minimum, exclusive = BOUNDS[field]
+        below = [_with_value(field, minimum - 1)]
+        if exclusive:
+            below.append(_with_value(field, minimum))
+        else:
+            assert _resolved(resolve_config(_with_value(field, minimum)), field) == minimum
+        for raw in below:
+            with pytest.raises(ConfigError) as err:
+                resolve_config(raw)
+            assert err.value.field == field
+
 
 class TestInitialData:
     def test_count_and_points_exclusive(self):
@@ -263,6 +349,22 @@ class TestLoadConfig:
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(ConfigError, match="invalid JSON"):
+            load_config(path)
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"scenario": "cart_dual", "note": "\u00e9"}'.encode("latin-1"))
+        with pytest.raises(ConfigError, match="<config>"):
+            load_config(path)
+
+    def test_directory(self, tmp_path):
+        with pytest.raises(ConfigError, match="<config>"):
+            load_config(tmp_path)
+
+    def test_integer_too_long_to_parse(self, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text('{"scenario": "cart_dual", "seed": 1' + "0" * 5000 + "}", encoding="utf-8")
+        with pytest.raises(ConfigError, match="<config>"):
             load_config(path)
 
     def test_non_object_top_level(self, tmp_path):

@@ -183,6 +183,19 @@ class TestPredictions:
         np.testing.assert_allclose(data.inputs[0], [0.4, 3.0])
         np.testing.assert_allclose(data.targets, [0.55])
 
+    @pytest.mark.parametrize(
+        "io,obs_dim,act_dim",
+        [
+            (AdditiveControlModel(KERN, noise_variance=0.1, obs_dim=2), 2, 2),
+            (BlackBoxModel(KERN, noise_variance=0.1, obs_dim=3, act_dim=1), 3, 1),
+            (CartSideInfoModel(KERN, noise_variance=0.1, timestep=0.05), 2, 1),
+        ],
+    )
+    def test_obs_dim_sets_prediction_width(self, io, obs_dim, act_dim):
+        assert io.obs_dim == obs_dim
+        means, variances = io.predict_batch(np.zeros(obs_dim), np.zeros((4, act_dim)))
+        assert means.shape == variances.shape == (4, obs_dim)
+
     def test_additive_rejects_mismatched_action_dim(self):
         io = AdditiveControlModel(KERN, noise_variance=0.1, obs_dim=1)
         with pytest.raises(ValueError):

@@ -272,6 +272,14 @@ class TestIncrementalUpdate:
         assert before == after
         assert len(gp1.data) == 2 and len(gp0.data) == 1
 
+    @pytest.mark.parametrize("x", [[[0.1, 0.2]], [0.1, np.nan], [0.1], [0.1, 0.2, 0.3]])
+    def test_bad_point_rejected(self, x):
+        # 2-D, non-finite and wrong-dimension points; the model is left as it was
+        gp = GpModel(KernelConfig(), 0.1, DataSet([[0.0, 0.0]], [1.0]))
+        with pytest.raises(ValueError):
+            gp.with_observation(x, 0.5)
+        assert len(gp.data) == 1
+
     def test_variance_never_increases_with_data(self):
         # conditioning on one more point can only shrink predictive variance
         rng = np.random.default_rng(22)

@@ -295,6 +295,36 @@ class TestCli:
     def test_missing_config_exit_1(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.json")]) == 1
 
+    @pytest.mark.parametrize("make", ["not_utf8", "directory"])
+    def test_unreadable_config_exit_1(self, tmp_path, capsys, make):
+        path = tmp_path / "cfg.json"
+        if make == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b'{"scenario": "cart_dual", "note": "\xe9"}')
+        assert main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "config error: <config>:" in err
+        assert "Traceback" not in err
+
+    def test_integer_spellings_resolve_to_floats(self, tmp_path, capsys):
+        spellings = {
+            "int": {"kernel": {"length_scale": 20}, "action_grid": {"step": 1}},
+            "float": {"kernel": {"length_scale": 20.0}, "action_grid": {"step": 1.0}},
+        }
+        texts = {}
+        for name, fields in spellings.items():
+            cfg = self.write_cfg(tmp_path, {"scenario": "cart_dual", "steps": 30, **fields})
+            assert main(["validate", cfg]) == 0
+            resolved = json.loads(capsys.readouterr().out)
+            assert isinstance(resolved["kernel"]["length_scale"], float)
+            assert isinstance(resolved["action_grid"]["step"], float)
+            out = tmp_path / f"{name}.csv"
+            assert main(["run", cfg, "--out", str(out)]) == 0
+            capsys.readouterr()
+            texts[name] = out.read_bytes()
+        assert texts["int"] == texts["float"]
+
     def test_slice_command(self, tmp_path):
         cfg = self.write_cfg(tmp_path, {"scenario": "logistic_linear", "steps": 3})
         out = str(tmp_path / "slice.csv")
