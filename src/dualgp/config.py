@@ -255,5 +255,10 @@ def resolve_config(raw: dict) -> dict:
         raise ConfigError("action_grid.max", f"must exceed min={grid['min']}, got {grid['max']}")
     if w["w1"] + min(w["w2_start"], w["w2_end"]) <= 0:
         raise ConfigError("weights.w1", "w1 + w2(t) must stay positive for all t")
+    if cfg["lookahead"] != 1 and cfg["selection"] != "benchmark":
+        raise ConfigError(
+            "lookahead", f"only the benchmark planner looks ahead; got {cfg['lookahead']} with "
+            f"selection {cfg['selection']!r}"
+        )
     cfg["initial_data"] = _initial_data(cfg)
     return cfg

@@ -3,12 +3,14 @@
 The controller in this package observes one data point per step, so the
 model is built around cheap incremental updates: a cached Cholesky factor
 of the noisy covariance matrix is extended by one row per observation,
-and every query (posterior mean/variance, bordered log-determinants for
-information scoring) is answered through triangular solves against that
-factor. No explicit matrix inverse is ever formed.
+written in place into a buffer whose capacity doubles, and every query
+(posterior mean/variance, bordered log-determinants for information
+scoring) is answered through triangular solves against that factor. No
+explicit matrix inverse is ever formed.
 """
 
 import copy
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +29,8 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 # below this separation two points count as duplicates
 DUPLICATE_TOL = 1e-12
 _TRTRS = get_lapack_funcs("trtrs", (np.zeros((1, 1)),))
+# makes checking and taking a factor buffer's next row one step across threads
+_ROW_CLAIM = threading.Lock()
 
 
 class FactorizationError(ValueError):
@@ -36,8 +40,10 @@ class FactorizationError(ValueError):
 def solve_triangular(chol, rhs, trans=False):
     """Solve L x = rhs, or L^T x = rhs with ``trans``, for a C-ordered lower factor L.
 
-    scipy's dtrtrs call for such a factor, with the same bits, minus its
-    finiteness scans: every factor and right-hand side here is finite.
+    ``chol`` may be (n, cap), cap > n, with L its first n columns: the rows
+    of a factor buffer, passed uncopied with leading dimension cap. scipy's
+    dtrtrs call for such a factor, with the same bits, minus its finiteness
+    scans: every factor and right-hand side here is finite.
     """
     x, info = _TRTRS(chol.T, rhs, lower=False, trans=not trans)
     if info != 0:
@@ -75,10 +81,16 @@ def _as_rows(values, dim, what):
 
 
 def _sq_dist(rows, cols):
-    """Squared distances between two (n, d) point sets, shape (len(rows), len(cols))."""
+    """Squared distances between two (n, d) point sets, shape (len(rows), len(cols)).
+
+    Summed one dimension at a time, so no (n, m, d) temporary is built.
+    """
+    d2 = np.zeros((rows.shape[0], cols.shape[0]))
     # divergent points may overflow to inf: kernel value 0, never a duplicate
     with np.errstate(over="ignore"):
-        return np.sum((rows[:, None, :] - cols[None, :, :]) ** 2, axis=-1)
+        for j in range(rows.shape[1]):
+            d2 += (rows[:, j, None] - cols[None, :, j]) ** 2
+    return d2
 
 
 @dataclass(frozen=True)
@@ -188,10 +200,15 @@ class GpModel:
     """Zero-mean GP conditioned on a DataSet, with a cached Cholesky factor.
 
     Immutable: queries never change the model, and adding an observation
-    returns a new model value. The covariance of the training set is
-    K + (noise_variance + jitter) * I where K is the kernel Gram matrix;
-    the prior predictive variance at any point is
-    kappa = signal_variance + noise_variance.
+    returns a new model value. The factor is the first M rows of a (cap,
+    cap) buffer. Models on one buffer share a one-slot count of its rows
+    written, and an append writes row M in place only while that count is
+    M, so a second append to the same model copies to a new buffer and
+    branches never see each other's rows; the count is checked and taken
+    under a lock, so this holds for appends from several threads too. The
+    covariance of the training set is K + (noise_variance + jitter) * I
+    where K is the kernel Gram matrix; the prior predictive variance at any
+    point is kappa = signal_variance + noise_variance.
     """
 
     def __init__(self, kernel: KernelConfig, noise_variance: float, data: DataSet):
@@ -200,7 +217,8 @@ class GpModel:
         self.kernel = kernel
         self.noise_variance = float(noise_variance)
         self.data = data
-        self._set_factor(self._factorize())
+        chol = self._factorize()
+        self._set_factor(chol, [len(chol)])
 
     @classmethod
     def empty(cls, kernel: KernelConfig, noise_variance: float, dim: int) -> "GpModel":
@@ -227,9 +245,13 @@ class GpModel:
         except np.linalg.LinAlgError:
             raise _singular_error(self.data.inputs) from None
 
-    def _set_factor(self, chol):
-        """Adopt the Cholesky factor and compute alpha = C^{-1} y from it."""
-        self._chol = chol
+    def _set_factor(self, buf, filled):
+        """Adopt the first M rows of a factor buffer and compute alpha = C^{-1} y.
+
+        ``filled`` is the buffer's rows-written count, shared by every model on it.
+        """
+        self._buf, self._filled = buf, filled
+        self._chol = chol = buf[: len(self.data)]
         if len(self.data) > 0:
             z = solve_triangular(chol, self.data.targets)
             self._alpha = solve_triangular(chol, z, trans=True)
@@ -240,8 +262,10 @@ class GpModel:
         """New model with one more (input, target) pair.
 
         Extends the cached factor by a single row instead of refactorizing
-        the full matrix. A squared pivot of at most (M + 1) eps (signal_variance
-        + noise + jitter), M the stored points, is round-off: FactorizationError.
+        the full matrix, in place unless the factor must first move to a
+        new buffer of about twice its size. A squared pivot of at most
+        (M + 1) eps (signal_variance + noise + jitter), M the stored points,
+        is round-off: FactorizationError.
         """
         new_data = self.data.append(x, y)
         n = len(self.data)
@@ -253,14 +277,19 @@ class GpModel:
         pivot = diagonal - float(w @ w)
         if pivot <= (n + 1) * np.finfo(float).eps * diagonal:
             raise _singular_error(new_data.inputs)
-        extended = np.empty((n + 1, n + 1))
-        extended[:n, :n] = self._chol
-        extended[:n, n] = 0.0
-        extended[n, :n] = w
-        extended[n, n] = np.sqrt(pivot)
+        buf, filled = self._buf, self._filled
+        with _ROW_CLAIM:
+            in_place = filled[0] == n < len(buf)
+            if in_place:
+                filled[0] = n + 1
+        if not in_place:
+            buf, filled = np.zeros((2 * n + 1, 2 * n + 1)), [n + 1]
+            buf[:n, :n] = self._chol[:, :n]
+        buf[n, :n] = w
+        buf[n, n] = np.sqrt(pivot)
         model = copy.copy(self)
         model.data = new_data
-        model._set_factor(extended)
+        model._set_factor(buf, filled)
         return model
 
     # -- queries -----------------------------------------------------------
@@ -288,7 +317,10 @@ class GpModel:
         Variances are clamped to [0, prior_variance]; conditioning on data
         can only shrink them, so anything outside is round-off.
         """
-        points = _as_rows(np.atleast_2d(points), self.dim, "query points")
+        return self._posterior_rows(_as_rows(np.atleast_2d(points), self.dim, "query points"))
+
+    def _posterior_rows(self, points):
+        """posterior_batch for points already checked to be a finite (n, d) array."""
         kappa = self.prior_variance
         if len(self.data) == 0:
             n = points.shape[0]
@@ -305,7 +337,7 @@ class GpModel:
 
     def posterior(self, x) -> Posterior:
         """Predictive distribution at one point."""
-        means, variances = self.posterior_batch(_as_point(x, dim=self.dim))
+        means, variances = self._posterior_rows(_as_point(x, dim=self.dim))
         return Posterior(mean=float(means[0]), variance=float(variances[0]))
 
     def schur_complement(self, points) -> np.ndarray:

@@ -200,6 +200,14 @@ class TestFieldErrors:
     def test_bad_selection(self):
         assert self.field_of({"scenario": "cart_dual", "selection": "greedy"}) == "selection"
 
+    @pytest.mark.parametrize("scenario", ["logistic_linear", "logistic_nonlinear", "cart_dual"])
+    def test_lookahead_needs_benchmark_selection(self, scenario):
+        # the dual controller has no lookahead: a value other than 1 would be ignored
+        assert self.field_of({"scenario": scenario, "lookahead": 3}) == "lookahead"
+        raw = {"scenario": scenario, "selection": "benchmark", "lookahead": 3, "initial_data": None}
+        cfg = resolve_config(raw)
+        assert cfg["lookahead"] == 3
+
     def test_nonfinite_target(self):
         assert self.field_of({"scenario": "cart_dual", "target": [math.inf]}) == "target"
 

@@ -1,5 +1,9 @@
 """GP regression layer: kernel, data set, posterior, bordered log-dets."""
 
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -37,6 +41,19 @@ def reference_posterior(kernel, noise, X, y, q):
     mean = k @ sol
     var = a + noise - k @ np.linalg.solve(C, k)
     return mean, var
+
+
+def dense_posterior(kernel, noise, X, y, Q):
+    """Means, variances and ln det from one dense covariance and numpy solves."""
+    def gram(A, B):
+        d2 = np.sum((A[:, None, :] - B[None, :, :]) ** 2, axis=-1)
+        return kernel.signal_variance * np.exp(-0.5 * d2 / kernel.length_scale**2)
+
+    C = gram(X, X) + (noise + kernel.jitter) * np.eye(len(X))
+    k = gram(X, Q)
+    means = k.T @ np.linalg.solve(C, y)
+    variances = kernel.signal_variance + noise - np.sum(k * np.linalg.solve(C, k), axis=0)
+    return means, variances, np.linalg.slogdet(C)[1]
 
 
 class TestKernel:
@@ -218,14 +235,16 @@ class TestPosterior:
 
     def test_dimension_mismatch_rejected(self):
         gp = GpModel.empty(KernelConfig(), 0.1, dim=2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="points have dimension 1, expected 2"):
             gp.posterior([1.0])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="points have dimension 3, expected 2"):
             gp.posterior([1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="a point must be a nonempty vector"):
+            gp.posterior([[1.0, 2.0]])
 
     def test_non_finite_query_rejected(self):
         gp = GpModel.empty(KernelConfig(), 0.1, dim=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="points contain non-finite values"):
             gp.posterior([np.nan])
 
 
@@ -271,6 +290,108 @@ class TestIncrementalUpdate:
         after = gp0.posterior([0.5])
         assert before == after
         assert len(gp1.data) == 2 and len(gp0.data) == 1
+
+    def test_branching_appends_are_independent(self):
+        # the parent wrote its last row in place, so one child appends in place and
+        # the other must copy; neither may see the other's row
+        kern = KernelConfig(signal_variance=0.8, length_scale=0.7)
+        rng = np.random.default_rng(23)
+        X = rng.uniform(-2, 2, size=(22, 2))
+        y = rng.normal(size=22)
+        parent = GpModel.empty(kern, 0.05, dim=2)
+        for x, t in zip(X[:20], y[:20]):
+            parent = parent.with_observation(x, t)
+        Q = rng.uniform(-2, 2, size=(9, 2))
+        before = parent.posterior_batch(Q)
+        children = [parent.with_observation(X[i], y[i]) for i in (20, 21)]
+        # grow each child further, so both buffers are written after the branch
+        swapped = zip(children, X[20:][::-1], y[20:][::-1])
+        grown = [child.with_observation(x, t) for child, x, t in swapped]
+        after = parent.posterior_batch(Q)
+        assert before[0].tobytes() == after[0].tobytes()
+        assert before[1].tobytes() == after[1].tobytes()
+        for i, child in zip((20, 21), children):
+            idx = list(range(20)) + [i]
+            fresh = GpModel(kern, 0.05, DataSet(X[idx], y[idx]))
+            means, variances = child.posterior_batch(Q)
+            ref_means, ref_vars, ref_logdet = dense_posterior(kern, 0.05, X[idx], y[idx], Q)
+            assert_allclose(means, fresh.posterior_batch(Q)[0], atol=1e-10)
+            assert_allclose(variances, fresh.posterior_batch(Q)[1], atol=1e-10)
+            assert_allclose(means, ref_means, atol=1e-9)
+            assert_allclose(variances, ref_vars, atol=1e-9)
+            assert child.log_det() == pytest.approx(ref_logdet, abs=1e-9)
+        for model in grown:
+            fresh = GpModel(kern, 0.05, model.data)
+            assert_allclose(model.posterior_batch(Q)[0], fresh.posterior_batch(Q)[0], atol=1e-10)
+
+    def test_concurrent_appends_to_one_model_are_independent(self):
+        # eight threads append to one parent that has room: one may write in place,
+        # the rest must copy, and no child may hold another's row
+        kern = KernelConfig(signal_variance=0.8, length_scale=0.7)
+        rng = np.random.default_rng(26)
+        X = rng.uniform(-2, 2, size=(38, 2))
+        y = rng.normal(size=38)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(50):
+                parent = GpModel(kern, 0.05, DataSet(X[:29], y[:29]))
+                parent = parent.with_observation(X[29], y[29])
+                children = [None] * 8
+                start = threading.Barrier(8)
+
+                def append(i):
+                    start.wait()
+                    children[i] = parent.with_observation(X[30 + i], y[30 + i])
+
+                threads = [threading.Thread(target=append, args=(i,)) for i in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                assert not any(thread.is_alive() for thread in threads)
+                for child in children:
+                    fresh = GpModel(kern, 0.05, child.data)
+                    assert_allclose(child._alpha, fresh._alpha, atol=1e-8)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_long_chain_crosses_capacity_doublings(self):
+        kern = KernelConfig(signal_variance=0.6, length_scale=0.8)
+        rng = np.random.default_rng(24)
+        X = rng.uniform(-3, 3, size=(300, 2))
+        y = rng.normal(size=300)
+        Q = rng.uniform(-3, 3, size=(11, 2))
+        checkpoints = {1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 63, 64, 127, 128, 255, 256, 300}
+        gp = GpModel.empty(kern, 0.02, dim=2)
+        for n, (x, t) in enumerate(zip(X, y), start=1):
+            gp = gp.with_observation(x, t)
+            if n in checkpoints:
+                means, variances = gp.posterior_batch(Q)
+                ref_means, ref_vars, ref_logdet = dense_posterior(kern, 0.02, X[:n], y[:n], Q)
+                assert_allclose(means, ref_means, atol=1e-8)
+                assert_allclose(variances, ref_vars, atol=1e-10)
+                assert gp.log_det() == pytest.approx(ref_logdet, abs=1e-8)
+
+    def test_append_does_not_copy_the_factor(self):
+        # an append with spare capacity writes one row: O(M) bytes, not the 8 M^2 of a copy
+        M = 500
+        rng = np.random.default_rng(25)
+        X = rng.uniform(-3, 3, size=(M + 1, 1))
+        y = rng.normal(size=M + 1)
+        kern = KernelConfig(length_scale=0.5)
+        # built at M - 1 points, so the append to M moved the factor to a roomier buffer
+        gp = GpModel(kern, 0.1, DataSet(X[: M - 1], y[: M - 1]))
+        gp = gp.with_observation(X[M - 1], y[M - 1])
+        gp.posterior(X[0])
+        tracemalloc.start()
+        try:
+            grown = gp.with_observation(X[M], y[M])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(grown.data) == M + 1
+        assert peak < 8 * M * M / 20
 
     @pytest.mark.parametrize("x", [[[0.1, 0.2]], [0.1, np.nan], [0.1], [0.1, 0.2, 0.3]])
     def test_bad_point_rejected(self, x):
