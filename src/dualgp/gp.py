@@ -139,10 +139,12 @@ class DataSet:
             )
         if not np.all(np.isfinite(targets)):
             raise ValueError("targets contain non-finite values")
-        self.inputs = inputs
-        self.targets = targets
-        self.inputs.setflags(write=False)
-        self.targets.setflags(write=False)
+        self._freeze(inputs, targets)
+
+    def _freeze(self, inputs, targets):
+        self.inputs, self.targets = inputs, targets
+        inputs.setflags(write=False)
+        targets.setflags(write=False)
 
     @classmethod
     def empty(cls, dim: int) -> "DataSet":
@@ -156,11 +158,13 @@ class DataSet:
         return self.inputs.shape[0]
 
     def append(self, x, y) -> "DataSet":
-        return DataSet(
-            np.vstack([self.inputs, _as_point(x, dim=self.dim)]),
-            np.append(self.targets, float(y)),
-            dim=self.dim,
-        )
+        """New set with one more pair; only the new pair is checked, stored rows already were."""
+        point, target = _as_point(x, dim=self.dim), float(y)
+        if not np.isfinite(target):
+            raise ValueError("targets contain non-finite values")
+        data = DataSet.__new__(DataSet)
+        data._freeze(np.vstack([self.inputs, point]), np.append(self.targets, target))
+        return data
 
 
 @dataclass(frozen=True)
@@ -174,6 +178,10 @@ class Posterior:
 def _distinct_rows(points):
     """Mask of each distinct row's first occurrence, and each row's index among those."""
     n = points.shape[0]
+    if n > 0 and (points == points[0]).all():  # one row repeated: no sort needed
+        is_first = np.zeros(n, dtype=bool)
+        is_first[0] = True
+        return is_first, np.zeros(n, dtype=np.intp)
     order = np.lexsort(points.T)  # stable: copies of a row keep their input order
     ranked = points[order]
     new = np.ones(n, dtype=bool)
@@ -199,16 +207,17 @@ def _singular_error(inputs):
 class GpModel:
     """Zero-mean GP conditioned on a DataSet, with a cached Cholesky factor.
 
-    Immutable: queries never change the model, and adding an observation
-    returns a new model value. The factor is the first M rows of a (cap,
-    cap) buffer. Models on one buffer share a one-slot count of its rows
-    written, and an append writes row M in place only while that count is
-    M, so a second append to the same model copies to a new buffer and
-    branches never see each other's rows; the count is checked and taken
-    under a lock, so this holds for appends from several threads too. The
-    covariance of the training set is K + (noise_variance + jitter) * I
-    where K is the kernel Gram matrix; the prior predictive variance at any
-    point is kappa = signal_variance + noise_variance.
+    Immutable: adding an observation returns a new model value, and a query
+    only caches its solved column for an append of the same row, as one
+    (row, column) tuple that threads replace whole. The factor is the first
+    M rows of a (cap, cap) buffer. Models on one buffer share a one-slot
+    count of its rows written, and an append writes row M in place only
+    while that count is M, so a second append to the same model copies to
+    a new buffer and branches never see each other's rows; the count is
+    checked and taken under a lock, so this holds for appends from several
+    threads too. The covariance of the training set is K + (noise_variance
+    + jitter) * I where K is the kernel Gram matrix; the prior predictive
+    variance at any point is kappa = signal_variance + noise_variance.
     """
 
     def __init__(self, kernel: KernelConfig, noise_variance: float, data: DataSet):
@@ -252,6 +261,7 @@ class GpModel:
         """
         self._buf, self._filled = buf, filled
         self._chol = chol = buf[: len(self.data)]
+        self._solved = None  # (row bytes, w) of this factor's last one-row query solve
         if len(self.data) > 0:
             z = solve_triangular(chol, self.data.targets)
             self._alpha = solve_triangular(chol, z, trans=True)
@@ -263,14 +273,19 @@ class GpModel:
 
         Extends the cached factor by a single row instead of refactorizing
         the full matrix, in place unless the factor must first move to a
-        new buffer of about twice its size. A squared pivot of at most
+        new buffer of about twice its size. The new row's column w =
+        L^{-1} k(X, x) is the last one-row query's when that row is x,
+        bit for bit, and is solved otherwise. A squared pivot of at most
         (M + 1) eps (signal_variance + noise + jitter), M the stored points,
         is round-off: FactorizationError.
         """
         new_data = self.data.append(x, y)
         n = len(self.data)
         w = np.zeros(0)
-        if n > 0:
+        solved = self._solved
+        if solved is not None and solved[0] == new_data.inputs[n].tobytes():
+            w = solved[1]
+        elif n > 0:
             k = self.kernel.cross(self.data.inputs, new_data.inputs[n:])[:, 0]
             w = solve_triangular(self._chol, k)
         diagonal = self.kernel.signal_variance + self._diagonal_boost()
@@ -332,6 +347,8 @@ class GpModel:
         per_row = k if is_first.all() else np.take(k, copies, axis=1)
         means = per_row.T @ self._alpha
         w = solve_triangular(self._chol, k)
+        if w.shape[1] == 1:  # the column an append of this row needs, with the same bits
+            self._solved = (points[0].tobytes(), w[:, 0])
         variances = (kappa - np.sum(w * w, axis=0))[copies]
         return means, np.clip(variances, 0.0, kappa)
 

@@ -7,16 +7,23 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from dualgp import control
+from dualgp import gp as gp_module
+from dualgp.config import resolve_config
 from dualgp.gp import (
     DataSet,
     FactorizationError,
     GpModel,
     KernelConfig,
+    _distinct_rows,
     gaussian_entropy,
     solve_triangular,
 )
+from dualgp.harness import run_scenario
 
 # frozen reference values, computed from the closed forms with numpy
 EXP_HALF = 0.6065306597126334       # exp(-0.5)
@@ -54,6 +61,44 @@ def dense_posterior(kernel, noise, X, y, Q):
     means = k.T @ np.linalg.solve(C, y)
     variances = kernel.signal_variance + noise - np.sum(k * np.linalg.solve(C, k), axis=0)
     return means, variances, np.linalg.slogdet(C)[1]
+
+
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """Right-hand-side shapes of every triangular solve made through dualgp.gp."""
+    calls = []
+    solve = gp_module.solve_triangular
+
+    def counted(chol, rhs, trans=False):
+        calls.append(np.shape(rhs))
+        return solve(chol, rhs, trans)
+
+    monkeypatch.setattr(gp_module, "solve_triangular", counted)
+    return calls
+
+
+def parent_and_point(rng, dim, noise, M):
+    """A builder of identical M-point models with room to append in place, and a new pair."""
+    kern = KernelConfig(signal_variance=float(rng.uniform(0.3, 1.5)),
+                        length_scale=float(rng.uniform(0.3, 1.0)))
+    X = rng.uniform(-3, 3, size=(M + 1, dim))
+    y = rng.normal(size=M + 1)
+
+    def build():
+        model = GpModel(kern, noise, DataSet(X[: M - 1], y[: M - 1]))
+        return model.with_observation(X[M - 1], y[M - 1])
+
+    return build, X[M], y[M]
+
+
+@st.composite
+def rows_with_repeats(draw):
+    """An (n, d) point set drawn with repeats from a few rows sharing some coordinates."""
+    dim = draw(st.integers(1, 3))
+    coordinate = st.one_of(st.sampled_from([-2.0, -0.0, 0.0, 0.5]), st.floats(-1e6, 1e6))
+    pool = draw(st.lists(st.tuples(*[coordinate] * dim), min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=40))
+    return np.array([pool[i] for i in picks], dtype=float).reshape(len(picks), dim)
 
 
 class TestKernel:
@@ -114,6 +159,31 @@ class TestDataSet:
         d1 = d0.append([0.5], 1.0)
         assert len(d0) == 0 and len(d1) == 1
         assert d1.inputs[0, 0] == 0.5 and d1.targets[0] == 1.0
+        assert not d1.inputs.flags.writeable and not d1.targets.flags.writeable
+
+    @pytest.mark.parametrize("x,y,message", [
+        ([0.1, 0.2], np.nan, "targets contain non-finite values"),
+        ([0.1, 0.2], -np.inf, "targets contain non-finite values"),
+        ([0.1, np.inf], 1.0, "points contain non-finite values"),
+        ([0.1, 0.2, 0.3], 1.0, "points have dimension 3, expected 2"),
+        ([[0.1, 0.2]], 1.0, r"a point must be a nonempty vector, got shape \(1, 2\)"),
+    ])
+    def test_append_checks_the_new_pair(self, x, y, message):
+        # only the new pair is checked; a rejected one leaves the set and its model as they were
+        data = DataSet([[0.0, 0.0], [1.0, 0.5]], [1.0, 2.0])
+        snapshot = data.inputs.tobytes(), data.targets.tobytes()
+        with pytest.raises(ValueError, match=message):
+            data.append(x, y)
+        gp = GpModel(KernelConfig(), 0.1, data)
+        q = np.array([[0.5, 0.5], [0.5, 0.5]])
+        before = gp.posterior_batch(q)
+        with pytest.raises(ValueError, match=message):
+            gp.with_observation(x, y)
+        assert (data.inputs.tobytes(), data.targets.tobytes()) == snapshot
+        assert gp.data is data and gp._filled == [2]
+        after = gp.posterior_batch(q)
+        assert before[0].tobytes() == after[0].tobytes()
+        assert before[1].tobytes() == after[1].tobytes()
 
     def test_inputs_are_read_only(self):
         d = DataSet([[0.0], [1.0]], [0.0, 1.0])
@@ -248,6 +318,34 @@ class TestPosterior:
             gp.posterior([np.nan])
 
 
+class TestDistinctRows:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(rows_with_repeats())
+    def test_first_occurrences_rebuild_every_row(self, points):
+        is_first, copies = _distinct_rows(points)
+        assert np.array_equal(points[is_first][copies], points)
+        seen = []
+        for i, row in enumerate(points):
+            if not any(np.array_equal(row, other) for other in seen):
+                seen.append(row)
+                assert is_first[i], i
+            else:
+                assert not is_first[i], i
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=3), st.integers(1, 120))
+    def test_repeated_row_matches_the_sorted_path(self, row, n):
+        # one row n times takes the early return; with a different row after it the
+        # same n rows go through the sort, which must agree on them
+        points = np.repeat(np.array([row]), n, axis=0)
+        fast = _distinct_rows(points)
+        mixed = _distinct_rows(np.vstack([points, points[:1] + 1.0]))
+        assert mixed[0][-1] and mixed[1][-1] == 1
+        for got, want in zip(fast, mixed):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want[:n])
+
+
 class TestSolveTriangular:
     def test_same_bits_as_scipy(self):
         rng = np.random.default_rng(18)
@@ -263,6 +361,31 @@ class TestSolveTriangular:
         chol = np.array([[1.0, 0.0], [0.5, 0.0]])
         with pytest.raises(FactorizationError, match="info 2"):
             solve_triangular(chol, np.ones(2))
+
+
+class TestSolveCounts:
+    @pytest.mark.parametrize("scenario,first,later", [
+        # additive control: the append reuses the column its one-row query solved,
+        # so a step is one query solve and the two solves for alpha
+        ("logistic_linear", 2, 3),
+        # 21 and 101 distinct rows are solved in one batch; the append solves its own
+        ("cart_dual", 2, 4),
+        ("logistic_nonlinear", 4, 4),
+    ])
+    def test_solves_per_step(self, monkeypatch, solve_calls, scenario, first, later):
+        # counted, not timed: the solves made between one action selection and the next
+        marks = []
+        select = control.select_action
+
+        def marked(*args, **kwargs):
+            marks.append(len(solve_calls))
+            return select(*args, **kwargs)
+
+        monkeypatch.setattr(control, "select_action", marked)
+        result = run_scenario(resolve_config({"scenario": scenario, "steps": 50}))
+        assert result.aborted is None
+        per_step = np.diff(marks + [len(solve_calls)]).tolist()
+        assert per_step == [first] + [later] * 49
 
 
 class TestIncrementalUpdate:
@@ -342,6 +465,9 @@ class TestIncrementalUpdate:
 
                 def append(i):
                     start.wait()
+                    # each thread's query replaces the parent's solved row; an append
+                    # may reuse only a column solved for its own row
+                    parent.posterior_batch(np.repeat(X[30 + i][None, :], 3, axis=0))
                     children[i] = parent.with_observation(X[30 + i], y[30 + i])
 
                 threads = [threading.Thread(target=append, args=(i,)) for i in range(8)]
@@ -392,6 +518,47 @@ class TestIncrementalUpdate:
             tracemalloc.stop()
         assert len(grown.data) == M + 1
         assert peak < 8 * M * M / 20
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("noise", [0.0, 0.05])
+    def test_append_reuses_the_queried_column(self, solve_calls, dim, noise):
+        # additive control queries one row many times, then appends that row
+        rng = np.random.default_rng(27 + 2 * dim + int(noise > 0))
+        for M in (2, 17, 120, 300):
+            build, x, t = parent_and_point(rng, dim, noise, M)
+            queried = build()
+            queried.posterior_batch(np.repeat(x[None, :], 101, axis=0))
+            solve_calls.clear()
+            child = queried.with_observation(x, t)
+            assert solve_calls == [(M + 1,), (M + 1,)], M  # alpha only
+            plain = build().with_observation(x, t)
+            assert np.array_equal(child._chol[M, : M + 1], plain._chol[M, : M + 1]), M
+            assert np.array_equal(child._alpha, plain._alpha), M
+
+    @pytest.mark.parametrize("case", ["other_row", "child", "batch"])
+    def test_append_solves_when_the_query_does_not_fit(self, solve_calls, case):
+        rng = np.random.default_rng(28)
+        build, x, t = parent_and_point(rng, 2, 0.0, 120)
+        x0, t0 = rng.uniform(-3, 3, size=2), 0.4
+        queried = build()
+        if case == "batch":
+            # 21 distinct rows solved in one call, the appended row first
+            queried.posterior_batch(np.vstack([x, rng.uniform(-3, 3, size=(20, 2))]))
+        else:
+            queried.posterior_batch(np.repeat(x[None, :], 101, axis=0))
+        if case == "other_row":
+            queried.posterior(x0)
+        if case == "child":
+            # the child has its own factor: the parent's solved column is not its own
+            queried = queried.with_observation(x0, t0)
+        solve_calls.clear()
+        grown = queried.with_observation(x, t)
+        n = len(grown.data)
+        assert solve_calls == [(n - 1,), (n,), (n,)]
+        plain = build().with_observation(x0, t0) if case == "child" else build()
+        plain = plain.with_observation(x, t)
+        assert np.array_equal(grown._chol[n - 1, :n], plain._chol[n - 1, :n])
+        assert np.array_equal(grown._alpha, plain._alpha)
 
     @pytest.mark.parametrize("x", [[[0.1, 0.2]], [0.1, np.nan], [0.1], [0.1, 0.2, 0.3]])
     def test_bad_point_rejected(self, x):
