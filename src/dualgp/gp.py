@@ -10,11 +10,14 @@ explicit matrix inverse is ever formed.
 """
 
 import copy
+import os
+import sys
 import threading
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES
+from importlib.util import find_spec, module_from_spec, spec_from_file_location
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 __all__ = [
     "FactorizationError",
@@ -28,7 +31,29 @@ __all__ = [
 LOG_2PI = float(np.log(2.0 * np.pi))
 # below this separation two points count as duplicates
 DUPLICATE_TOL = 1e-12
-_TRTRS = get_lapack_funcs("trtrs", (np.zeros((1, 1)),))
+
+
+def _flapack(directory):
+    """scipy's compiled LAPACK wrappers in ``directory``, loaded without scipy.linalg's __init__.
+
+    Registered under their package name, so a later ``import scipy.linalg`` shares them.
+    """
+    name = "scipy.linalg._flapack"
+    paths = [os.path.join(directory, "_flapack" + suffix) for suffix in EXTENSION_SUFFIXES]
+    found = [p for p in paths if os.path.isfile(p)]
+    if not found:
+        raise ImportError(f"scipy's LAPACK extension _flapack is not in {directory}")
+    if name not in sys.modules:
+        spec = spec_from_file_location(name, found[0])
+        sys.modules[name] = module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+_SCIPY = find_spec("scipy")
+if _SCIPY is None:
+    raise ImportError(f"dualgp needs scipy, which is not on sys.path {sys.path}")
+_TRTRS = _flapack(os.path.join(os.path.dirname(_SCIPY.origin), "linalg")).dtrtrs
 # makes checking and taking a factor buffer's next row one step across threads
 _ROW_CLAIM = threading.Lock()
 
@@ -343,8 +368,14 @@ class GpModel:
         # distinct rows in input order, so all-distinct points are solved as given
         is_first, copies = _distinct_rows(points)
         k = self.kernel.cross(self.data.inputs, points[is_first])
-        # np.take keeps C order and so the bits of k(X, points).T @ alpha; k[:, copies] would not
-        per_row = k if is_first.all() else np.take(k, copies, axis=1)
+        # np.take and np.repeat keep C order and so the bits of k(X, points).T @ alpha;
+        # k[:, copies] would not. Copies of one row need no gather.
+        if is_first.all():
+            per_row = k
+        elif k.shape[1] == 1:
+            per_row = np.repeat(k, len(copies), axis=1)
+        else:
+            per_row = np.take(k, copies, axis=1)
         means = per_row.T @ self._alpha
         w = solve_triangular(self._chol, k)
         if w.shape[1] == 1:  # the column an append of this row needs, with the same bits

@@ -1,5 +1,6 @@
 """GP regression layer: kernel, data set, posterior, bordered log-dets."""
 
+import re
 import sys
 import threading
 import tracemalloc
@@ -357,10 +358,37 @@ class TestSolveTriangular:
                 expected = scipy.linalg.solve_triangular(chol, rhs, lower=True, trans=int(trans))
                 assert solve_triangular(chol, rhs, trans=trans).tobytes() == expected.tobytes()
 
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(st.integers(1, 300), st.floats(0.0, 1.0), st.integers(1, 3), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    def test_buffer_rows_match_a_dense_factor(self, M, spare, cols, trans, seed):
+        # the first M rows of a (cap, cap) buffer, cap in [M, 2M + 1], with huge
+        # values above the diagonal and past column M that no solve may read
+        cap = M + round(spare * (M + 1))
+        rng = np.random.default_rng(seed)
+        b = rng.normal(size=(M, M))
+        dense = np.linalg.cholesky(b @ b.T / M + np.eye(M))
+        buf = 1e6 * rng.normal(size=(cap, cap))
+        buf[:M, :M][np.tril_indices(M)] = dense[np.tril_indices(M)]
+        rhs = rng.normal(size=(M, cols))
+        got = solve_triangular(buf[:M], rhs, trans=trans)
+        # dtrtrs on the contiguous factor, called as scipy.linalg.solve_triangular
+        # calls it for a C-ordered lower factor
+        trtrs = scipy.linalg.get_lapack_funcs("trtrs", (dense,))
+        expected, info = trtrs(dense.T, rhs, lower=False, trans=not trans)
+        assert info == 0
+        assert got.tobytes() == expected.tobytes()
+        exact = np.linalg.solve(dense.T if trans else dense, rhs)
+        assert np.linalg.norm(got - exact) <= 1e-10 * np.linalg.norm(exact)
+
     def test_zero_diagonal_raises(self):
         chol = np.array([[1.0, 0.0], [0.5, 0.0]])
         with pytest.raises(FactorizationError, match="info 2"):
             solve_triangular(chol, np.ones(2))
+
+    def test_missing_lapack_extension_names_the_directory(self, tmp_path):
+        with pytest.raises(ImportError, match=re.escape(f"_flapack is not in {tmp_path}")):
+            gp_module._flapack(str(tmp_path))
 
 
 class TestSolveCounts:

@@ -1,0 +1,42 @@
+"""Process start-up: what importing dualgp and running an episode loads."""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def run_fresh(script):
+    """Run a script in a new interpreter that imports dualgp from this checkout."""
+    proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": SRC},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_episode_runs_without_scipy_linalg():
+    # scipy.linalg's package import costs most of a cold start; dualgp needs
+    # only its compiled LAPACK wrappers
+    run_fresh(
+        "import sys\n"
+        "import dualgp\n"
+        "from dualgp.config import resolve_config\n"
+        "from dualgp.harness import run_scenario\n"
+        "result = run_scenario(resolve_config({'scenario': 'logistic_linear', 'steps': 5}))\n"
+        "assert result.aborted is None and len(result.records) == 5\n"
+        "assert 'scipy.linalg' not in sys.modules\n"
+    )
+
+
+@pytest.mark.parametrize("first", ["dualgp", "scipy.linalg"])
+def test_scipy_linalg_shares_the_loaded_extension(first):
+    second = "scipy.linalg" if first == "dualgp" else "dualgp"
+    run_fresh(
+        f"import {first}\n"
+        f"import {second}\n"
+        "import numpy as np\n"
+        "trtrs = scipy.linalg.get_lapack_funcs('trtrs', (np.zeros((1, 1)),))\n"
+        "assert trtrs is dualgp.gp._TRTRS\n"
+    )
