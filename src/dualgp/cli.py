@@ -44,8 +44,7 @@ def _print_summary(summary: dict):
     print(f"mean_tracking_error_second_half={summary['mean_tracking_error_second_half']:.6g}")
 
 
-def _cmd_run(args) -> int:
-    cfg = resolve_config(load_config(args.config))
+def _cmd_run(args, cfg) -> int:
     result = run_scenario(cfg)
     write_trace_csv(args.out, result.records)
     _print_summary(result.summary)
@@ -55,8 +54,7 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_slice(args) -> int:
-    cfg = resolve_config(load_config(args.config))
+def _cmd_slice(args, cfg) -> int:
     result, rows = compute_slice(cfg, args.at_u, args.coord, args.min, args.max, args.n)
     if result.aborted:
         print(f"aborted: {result.aborted}", file=sys.stderr)
@@ -65,8 +63,7 @@ def _cmd_slice(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    cfg = resolve_config(load_config(args.config))
+def _cmd_sweep(args, cfg) -> int:
     rows = run_sweep(cfg, args.seeds)
     write_sweep_csv(args.out, rows)
     fraction = sum(r[3] for r in rows) / len(rows)
@@ -74,8 +71,7 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_validate(args) -> int:
-    cfg = resolve_config(load_config(args.config))
+def _cmd_validate(args, cfg) -> int:
     print(json.dumps(cfg, indent=2, sort_keys=True))
     return 0
 
@@ -124,7 +120,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, resolve_config(load_config(args.config)))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

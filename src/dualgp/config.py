@@ -41,7 +41,6 @@ _DEFAULTS = {
         "steps": 100,
         "seed": 0,
         "selection": "dual",
-        "lookahead": 1,
         "initial_data": None,
     },
     "logistic_nonlinear": {
@@ -56,7 +55,6 @@ _DEFAULTS = {
         "steps": 100,
         "seed": 0,
         "selection": "dual",
-        "lookahead": 1,
         # the cosine-coupled map punishes blind exploration hard (a single
         # overshoot past its recoverable band never comes back), so the
         # learner starts from a handful of random prior measurements
@@ -74,7 +72,6 @@ _DEFAULTS = {
         "steps": 100,
         "seed": 0,
         "selection": "dual",
-        "lookahead": 1,
         "initial_data": None,
     },
     "cart_benchmark": {
@@ -89,7 +86,6 @@ _DEFAULTS = {
         "steps": 100,
         "seed": 0,
         "selection": "benchmark",
-        "lookahead": 1,
         "initial_data": None,
     },
 }
@@ -115,7 +111,6 @@ _BOUNDS = {
     "weights.schedule_steps": (0, False),
     "steps": (1, False),
     "seed": (0, False),
-    "lookahead": (1, False),
     "initial_data.count": (1, False),
 }
 
@@ -255,10 +250,5 @@ def resolve_config(raw: dict) -> dict:
         raise ConfigError("action_grid.max", f"must exceed min={grid['min']}, got {grid['max']}")
     if w["w1"] + min(w["w2_start"], w["w2_end"]) <= 0:
         raise ConfigError("weights.w1", "w1 + w2(t) must stay positive for all t")
-    if cfg["lookahead"] != 1 and cfg["selection"] != "benchmark":
-        raise ConfigError(
-            "lookahead", f"only the benchmark planner looks ahead; got {cfg['lookahead']} with "
-            f"selection {cfg['selection']!r}"
-        )
     cfg["initial_data"] = _initial_data(cfg)
     return cfg

@@ -379,20 +379,17 @@ def run_episode(plant, io: IoModel, phi: ActionSet, reference, weights: Weights,
     return records
 
 
-def run_benchmark_episode(plant, phi: ActionSet, reference, steps: int,
-                          lookahead: int = 1):
-    """Full-knowledge planner: roll the true dynamics forward per action.
+def run_benchmark_episode(plant, phi: ActionSet, reference, steps: int):
+    """Full-knowledge planner: simulate each action one step on the true dynamics.
 
-    Each step simulates every action held constant for `lookahead`
-    transitions and picks the one whose committed tracked output lands
-    closest to the reference. No learning, no noise; variance fields are
-    recorded as zero and the predicted mean is the exact one-step output.
-    A plant divergence at step t raises EpisodeAborted with steps 0..t-1.
+    Each step simulates every action once from the true state and picks the
+    one whose tracked output lands closest to the reference. No learning, no
+    noise; variance fields are recorded as zero and the predicted mean is the
+    exact one-step output of the chosen action's simulated state. A plant
+    divergence at step t raises EpisodeAborted with steps 0..t-1.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    if lookahead < 1:
-        raise ValueError(f"lookahead must be >= 1, got {lookahead}")
     if phi.dim != 1:
         raise ValueError("benchmark planning expects scalar actions")
     ref = make_reference(reference)
@@ -402,17 +399,13 @@ def run_benchmark_episode(plant, phi: ActionSet, reference, steps: int,
             r_t = ref(t)
             best = None
             for i, action in enumerate(phi.actions):
-                u = float(action[0])
-                state = plant.state
-                for _ in range(lookahead):
-                    state = plant.simulate(state, u)
+                state = plant.simulate(plant.state, float(action[0]))
                 err = abs(plant.plan_output(state) - float(r_t[0]))
                 if best is None or err < best[0]:
-                    best = (err, i)
-            err, idx = best
-            u = float(phi.actions[idx][0])
-            predicted = plant.output_of(plant.simulate(plant.state, u))
-            plant.step(u)
+                    best = (err, i, state)
+            err, idx, state = best
+            predicted = plant.output_of(state)
+            plant.step(float(phi.actions[idx][0]))
             records.append(_finish_record(
                 t, phi.actions[idx].copy(), plant.output(), r_t,
                 predicted, np.zeros_like(predicted), float(err),

@@ -176,9 +176,7 @@ def run_scenario(cfg: dict) -> EpisodeResult:
     aborted = None
     try:
         if cfg["selection"] == "benchmark":
-            records = run_benchmark_episode(
-                plant, phi, cfg["target"], cfg["steps"], lookahead=cfg["lookahead"]
-            )
+            records = run_benchmark_episode(plant, phi, cfg["target"], cfg["steps"])
         else:
             records = run_episode(
                 plant, io, phi, cfg["target"], Weights(**cfg["weights"]), cfg["steps"],
@@ -206,13 +204,15 @@ def _cell(value) -> str:
     return ";".join(_fmt(v) for v in arr)
 
 
-def _atomic_write(path, write_rows):
-    """Write a CSV through a temp file in the destination directory."""
+def _write_csv(path, header, rows):
+    """Write a header and rows as CSV through a temp file in the destination directory."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            write_rows(csv.writer(fh))
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -222,16 +222,14 @@ def _atomic_write(path, write_rows):
 
 
 def write_trace_csv(path, records):
-    def emit(writer):
-        writer.writerow(TRACE_HEADER)
-        for r in records:
-            writer.writerow([
-                r.step, _cell(r.action), _cell(r.observation), _cell(r.reference),
-                _cell(r.predicted_mean), _cell(r.predicted_variance),
-                _fmt(r.objective_value), _fmt(r.tracking_error), _fmt(r.estimation_error),
-            ])
-
-    _atomic_write(path, emit)
+    _write_csv(path, TRACE_HEADER, (
+        [
+            r.step, _cell(r.action), _cell(r.observation), _cell(r.reference),
+            _cell(r.predicted_mean), _cell(r.predicted_variance),
+            _fmt(r.objective_value), _fmt(r.tracking_error), _fmt(r.estimation_error),
+        ]
+        for r in records
+    ))
 
 
 def compute_slice(cfg: dict, at_u: float, coord: int, lo: float, hi: float, n: int):
@@ -266,12 +264,10 @@ def compute_slice(cfg: dict, at_u: float, coord: int, lo: float, hi: float, n: i
 
 
 def write_slice_csv(path, rows):
-    def emit(writer):
-        writer.writerow(["x", "true_value", "mean", "std"])
-        for x, true_value, mean, std in rows:
-            writer.writerow([_fmt(x), _fmt(true_value), _fmt(mean), _fmt(std)])
-
-    _atomic_write(path, emit)
+    _write_csv(
+        path, ["x", "true_value", "mean", "std"],
+        ([_fmt(x), _fmt(true_value), _fmt(mean), _fmt(std)] for x, true_value, mean, std in rows),
+    )
 
 
 def run_sweep(cfg: dict, n_seeds: int):
@@ -303,9 +299,7 @@ def run_sweep(cfg: dict, n_seeds: int):
 
 
 def write_sweep_csv(path, rows):
-    def emit(writer):
-        writer.writerow(["seed", "final_tracking_error", "steps_to_within_10pct", "success"])
-        for seed, final, steps_to, success in rows:
-            writer.writerow([seed, _fmt(final), steps_to, success])
-
-    _atomic_write(path, emit)
+    _write_csv(
+        path, ["seed", "final_tracking_error", "steps_to_within_10pct", "success"],
+        ([seed, _fmt(final), steps_to, success] for seed, final, steps_to, success in rows),
+    )

@@ -28,13 +28,14 @@ def verdict(number: int, ok: bool, detail: str) -> str:
 
 
 def random_points(rng, m, d, min_gap=1e-3):
+    pairs = np.triu_indices(m, 1)
     while True:
         pts = rng.uniform(-2.0, 2.0, size=(m, d))
         if m == 1:
             return pts
         diff = pts[:, None, :] - pts[None, :, :]
         dist = np.sqrt(np.sum(diff**2, axis=-1))
-        if np.min(dist[np.triu_indices(m, 1)]) > min_gap:
+        if np.min(dist[pairs]) > min_gap:
             return pts
 
 

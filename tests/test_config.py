@@ -28,7 +28,6 @@ EXPECTED_DEFAULTS = {
         "steps": 100,
         "seed": 0,
         "selection": "dual",
-        "lookahead": 1,
         "initial_data": None,
     },
     "logistic_nonlinear": {
@@ -43,7 +42,6 @@ EXPECTED_DEFAULTS = {
         "steps": 100,
         "seed": 0,
         "selection": "dual",
-        "lookahead": 1,
         "initial_data": {"count": 10, "low": 0.0, "high": 1.2},
     },
     "cart_dual": {
@@ -66,7 +64,6 @@ EXPECTED_DEFAULTS = {
         "steps": 100,
         "seed": 0,
         "selection": "dual",
-        "lookahead": 1,
         "initial_data": None,
     },
     "cart_benchmark": {
@@ -89,7 +86,6 @@ EXPECTED_DEFAULTS = {
         "steps": 100,
         "seed": 0,
         "selection": "benchmark",
-        "lookahead": 1,
         "initial_data": None,
     },
 }
@@ -200,13 +196,12 @@ class TestFieldErrors:
     def test_bad_selection(self):
         assert self.field_of({"scenario": "cart_dual", "selection": "greedy"}) == "selection"
 
-    @pytest.mark.parametrize("scenario", ["logistic_linear", "logistic_nonlinear", "cart_dual"])
-    def test_lookahead_needs_benchmark_selection(self, scenario):
-        # the dual controller has no lookahead: a value other than 1 would be ignored
-        assert self.field_of({"scenario": scenario, "lookahead": 3}) == "lookahead"
-        raw = {"scenario": scenario, "selection": "benchmark", "lookahead": 3, "initial_data": None}
-        cfg = resolve_config(raw)
-        assert cfg["lookahead"] == 3
+    def test_lookahead_is_an_unknown_field(self):
+        # the planner simulates one step ahead; no scenario has a lookahead setting
+        with pytest.raises(ConfigError) as err:
+            resolve_config({"scenario": "cart_benchmark", "lookahead": 1})
+        assert err.value.field == "lookahead"
+        assert str(err.value) == "lookahead: unknown field"
 
     def test_nonfinite_target(self):
         assert self.field_of({"scenario": "cart_dual", "target": [math.inf]}) == "target"
@@ -255,7 +250,6 @@ BOUNDS = {
     "weights.schedule_steps": (0, False),
     "steps": (1, False),
     "seed": (0, False),
-    "lookahead": (1, False),
     "initial_data.count": (1, False),
 }
 

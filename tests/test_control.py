@@ -501,9 +501,18 @@ class TestBenchmark:
             assert a.action[0] == b.action[0]
             assert np.array_equal(a.observation, b.observation)
 
-    def test_lookahead_validation(self):
-        with pytest.raises(ValueError):
-            run_benchmark_episode(_IdentityPlant(), ActionSet([0.0]), 0.5, steps=1, lookahead=0)
+    def test_simulates_each_action_once_per_step(self):
+        plant = CartPlant(state=[0.0, 0.0, 0.6, 0.0])
+        calls = []
+
+        def simulate(state, u):
+            calls.append(u)
+            return CartPlant.simulate(plant, state, u)
+
+        plant.simulate = simulate
+        phi = ActionSet.from_grid(-10.0, 10.0, 1.0)
+        run_benchmark_episode(plant, phi, 0.5, steps=3)
+        assert calls == list(phi.actions[:, 0]) * 3
 
 
 class TestNonlinearScenarioSmoke:

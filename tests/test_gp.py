@@ -93,6 +93,28 @@ def parent_and_point(rng, dim, noise, M):
 
 
 @st.composite
+def separated_problem(draw):
+    """A kernel, a noise level and up to 120 training pairs spaced apart on the length scale."""
+    dim = draw(st.integers(1, 3))
+    noise = draw(st.one_of(st.just(0.0), st.floats(1e-3, 0.3)))
+    kern = KernelConfig(signal_variance=draw(st.floats(0.2, 2.0)),
+                        length_scale=draw(st.floats(0.2, 2.0)))
+    m = draw(st.integers(1, 120))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # a gap of 0.7 length scales keeps the noise-free covariance well conditioned;
+    # dart throwing in a box about twice as wide as m points at that gap need
+    gap = 0.7 * kern.length_scale
+    half = gap * m ** (1.0 / dim)
+    X = np.empty((0, dim))
+    while len(X) < m:
+        x = rng.uniform(-half, half, size=dim)
+        if len(X) == 0 or np.min(np.sum((X - x) ** 2, axis=1)) > gap**2:
+            X = np.vstack([X, x])
+    probes = rng.uniform(-half, half, size=(25, dim))
+    return kern, noise, X, rng.normal(size=m), probes
+
+
+@st.composite
 def rows_with_repeats(draw):
     """An (n, d) point set drawn with repeats from a few rows sharing some coordinates."""
     dim = draw(st.integers(1, 3))
@@ -432,6 +454,24 @@ class TestIncrementalUpdate:
             assert inc.mean == pytest.approx(ref.mean, abs=1e-10)
             assert inc.variance == pytest.approx(ref.variance, abs=1e-10)
             assert gp.log_det() == pytest.approx(fresh.log_det(), abs=1e-10)
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(separated_problem(), st.sampled_from(["none", "appended", "other"]))
+    def test_append_chain_matches_a_fresh_model(self, problem, query):
+        # a one-row query of the appended row hands the append its solved column;
+        # a query of another row must not
+        kern, noise, X, y, probes = problem
+        gp = GpModel.empty(kern, noise, dim=X.shape[1])
+        for x, t in zip(X, y):
+            if query != "none":
+                gp.posterior(x if query == "appended" else probes[0])
+            gp = gp.with_observation(x, t)
+        fresh = GpModel(kern, noise, DataSet(X, y))
+        means, variances = gp.posterior_batch(probes)
+        ref_means, ref_vars = fresh.posterior_batch(probes)
+        assert_allclose(means, ref_means, rtol=0, atol=1e-6)
+        assert_allclose(variances, ref_vars, rtol=0, atol=1e-8)
+        assert gp.log_det() == pytest.approx(fresh.log_det(), rel=1e-9, abs=1e-9)
 
     def test_original_model_unchanged(self):
         kern = KernelConfig()

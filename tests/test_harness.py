@@ -61,6 +61,19 @@ class TestRunScenario:
         result = run_scenario(cfg_for("cart_benchmark", steps=5))
         assert len(result.io.gps[0].data) == 0
 
+    def test_benchmark_reads_no_learning_fields(self):
+        # the planner reads plant, x0, target, action_grid and steps only
+        plain = run_scenario(cfg_for("cart_benchmark"))
+        varied = run_scenario(cfg_for(
+            "cart_benchmark", noise_variance=0.5, seed=3,
+            kernel={"length_scale": 0.1}, weights={"w2_end": 0.0},
+        ))
+        assert len(plain.records) == len(varied.records) == 100
+        for a, b in zip(plain.records, varied.records):
+            assert np.array_equal(a.action, b.action)
+            assert np.array_equal(a.observation, b.observation)
+        assert plain.training_hash == varied.training_hash
+
     def test_abort_is_reported_not_raised(self):
         # without prior data the cosine-coupled map is lost quickly
         cfg = cfg_for("logistic_nonlinear", initial_data=None)
@@ -291,6 +304,11 @@ class TestCli:
         )
         assert main(["validate", cfg]) == 1
         assert "action_grid.step" in capsys.readouterr().err
+
+    def test_validate_exit_1_on_lookahead(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path, {"scenario": "cart_benchmark", "lookahead": 1})
+        assert main(["validate", cfg]) == 1
+        assert "config error: lookahead: unknown field" in capsys.readouterr().err
 
     def test_missing_config_exit_1(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.json")]) == 1
