@@ -120,6 +120,9 @@ _CHOICES = {"plant.coupling": ("additive", "cosine"), "selection": ("dual", "ben
 # initial_data's random draws, each checked like any other leaf
 _DRAWS = {"count": 1, "low": 0.0, "high": 0.0}
 
+# bound on (max - min) / step; the shipped action grids hold 21-101 actions
+_MAX_GRID_INTERVALS = 10**6
+
 
 class ConfigError(ValueError):
     """Validation failure tied to one dotted config field."""
@@ -248,6 +251,12 @@ def resolve_config(raw: dict) -> dict:
         )
     if not grid["max"] > grid["min"]:
         raise ConfigError("action_grid.max", f"must exceed min={grid['min']}, got {grid['max']}")
+    intervals = (grid["max"] - grid["min"]) / grid["step"]
+    if not intervals < _MAX_GRID_INTERVALS:  # also rejects a span that overflows to inf
+        raise ConfigError(
+            "action_grid.step",
+            f"(max - min) / step must be < {_MAX_GRID_INTERVALS}, got {intervals:.3g}",
+        )
     if w["w1"] + min(w["w2_start"], w["w2_end"]) <= 0:
         raise ConfigError("weights.w1", "w1 + w2(t) must stay positive for all t")
     cfg["initial_data"] = _initial_data(cfg)

@@ -60,6 +60,8 @@ class ActionSet:
         """Evenly spaced scalar actions low, low+step, ..., up to high inclusive."""
         if not (step > 0) or not (high > low):
             raise ValueError(f"need high > low and step > 0, got ({low}, {high}, {step})")
+        if not np.isfinite(high - low):
+            raise ValueError(f"need a finite span high - low, got ({low}, {high})")
         count = int(np.floor((high - low) / step + 1e-9)) + 1
         return cls(low + step * np.arange(count))
 

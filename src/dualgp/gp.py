@@ -200,23 +200,6 @@ class Posterior:
     variance: float
 
 
-def _distinct_rows(points):
-    """Mask of each distinct row's first occurrence, and each row's index among those."""
-    n = points.shape[0]
-    if n > 0 and (points == points[0]).all():  # one row repeated: no sort needed
-        is_first = np.zeros(n, dtype=bool)
-        is_first[0] = True
-        return is_first, np.zeros(n, dtype=np.intp)
-    order = np.lexsort(points.T)  # stable: copies of a row keep their input order
-    ranked = points[order]
-    new = np.ones(n, dtype=bool)
-    new[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
-    first = np.empty(n, dtype=np.intp)
-    first[order] = order[new][np.cumsum(new) - 1]
-    is_first = first == np.arange(n)
-    return is_first, (np.cumsum(is_first) - 1)[first]
-
-
 def _singular_error(inputs):
     """FactorizationError for a singular training covariance, naming duplicate inputs."""
     i, j = np.nonzero(np.triu(_sq_dist(inputs, inputs) <= DUPLICATE_TOL**2, k=1))
@@ -352,8 +335,9 @@ class GpModel:
     def posterior_batch(self, points: np.ndarray):
         """Means and variances at many query points, shape (n,) each.
 
-        Each distinct row is solved against the factor once, and its
-        variance goes to every copy of it; the mean is still taken per row.
+        One row repeated (an action grid under additive control) is solved
+        against the factor once, and its variance goes to every copy; the
+        mean is still taken per row. Any other rows are solved as given.
         Variances are clamped to [0, prior_variance]; conditioning on data
         can only shrink them, so anything outside is round-off.
         """
@@ -361,26 +345,18 @@ class GpModel:
 
     def _posterior_rows(self, points):
         """posterior_batch for points already checked to be a finite (n, d) array."""
-        kappa = self.prior_variance
-        if len(self.data) == 0:
-            n = points.shape[0]
+        kappa, n = self.prior_variance, points.shape[0]
+        if len(self.data) == 0 or n == 0:
             return np.zeros(n), np.full(n, kappa)
-        # distinct rows in input order, so all-distinct points are solved as given
-        is_first, copies = _distinct_rows(points)
-        k = self.kernel.cross(self.data.inputs, points[is_first])
-        # np.take and np.repeat keep C order and so the bits of k(X, points).T @ alpha;
-        # k[:, copies] would not. Copies of one row need no gather.
-        if is_first.all():
-            per_row = k
-        elif k.shape[1] == 1:
-            per_row = np.repeat(k, len(copies), axis=1)
-        else:
-            per_row = np.take(k, copies, axis=1)
-        means = per_row.T @ self._alpha
+        repeated = (points == points[:1]).all()
+        k = self.kernel.cross(self.data.inputs, points[:1] if repeated else points)
+        # np.repeat keeps C order and so the bits of k(X, points).T @ alpha
+        means = (np.repeat(k, n, axis=1) if repeated else k).T @ self._alpha
         w = solve_triangular(self._chol, k)
-        if w.shape[1] == 1:  # the column an append of this row needs, with the same bits
+        variances = kappa - np.sum(w * w, axis=0)
+        if repeated:  # keep the column an append of this row needs, with the same bits
             self._solved = (points[0].tobytes(), w[:, 0])
-        variances = (kappa - np.sum(w * w, axis=0))[copies]
+            variances = np.repeat(variances, n)
         return means, np.clip(variances, 0.0, kappa)
 
     def posterior(self, x) -> Posterior:

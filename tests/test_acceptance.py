@@ -28,15 +28,26 @@ def verdict(number: int, ok: bool, detail: str) -> str:
 
 
 def random_points(rng, m, d, min_gap=1e-3):
-    pairs = np.triu_indices(m, 1)
+    """m points in [-2, 2]^d, redrawn until every pair is more than min_gap apart.
+
+    Tries are drawn in batches that double up to 256 while a call keeps
+    rejecting. On acceptance the generator is rewound and redraws only the
+    tries up to the accepted one, so points and generator state are those of
+    drawing one try at a time.
+    """
+    if m == 1:
+        return rng.uniform(-2.0, 2.0, size=(1, d))
+    i, j = np.triu_indices(m, 1)
+    batch = 1
     while True:
-        pts = rng.uniform(-2.0, 2.0, size=(m, d))
-        if m == 1:
-            return pts
-        diff = pts[:, None, :] - pts[None, :, :]
-        dist = np.sqrt(np.sum(diff**2, axis=-1))
-        if np.min(dist[pairs]) > min_gap:
-            return pts
+        state = rng.bit_generator.state
+        tries = rng.uniform(-2.0, 2.0, size=(batch, m, d))
+        dist = np.sqrt(np.sum((tries[:, i] - tries[:, j]) ** 2, axis=-1))
+        accepted = np.flatnonzero(np.min(dist, axis=1) > min_gap)
+        if accepted.size:
+            rng.bit_generator.state = state
+            return rng.uniform(-2.0, 2.0, size=(accepted[0] + 1, m, d))[-1]
+        batch = min(2 * batch, 256)
 
 
 def dense_posterior(kernel, noise, inputs, targets, queries):

@@ -157,6 +157,22 @@ class TestFieldErrors:
         field = self.field_of({"scenario": "logistic_linear", "action_grid": {"step": 0}})
         assert field == "action_grid.step"
 
+    @pytest.mark.parametrize("grid", [
+        {"min": 0.0, "max": 1.0, "step": 1e-300},
+        {"min": -1e300, "max": 1e300, "step": 1e-300},
+        {"min": -1.7e308, "max": 1.7e308, "step": 1.0},  # the span overflows to inf
+        {"min": 0.0, "max": 1e6, "step": 1.0},
+    ])
+    def test_oversized_grid(self, grid):
+        # the grid is only checked here, never built
+        field = self.field_of({"scenario": "logistic_linear", "action_grid": grid})
+        assert field == "action_grid.step"
+
+    def test_largest_grid_resolves(self):
+        grid = {"min": 0.0, "max": 999999.0, "step": 1.0}
+        cfg = resolve_config({"scenario": "logistic_linear", "action_grid": grid})
+        assert cfg["action_grid"] == grid
+
     def test_inverted_grid(self):
         field = self.field_of(
             {"scenario": "logistic_linear", "action_grid": {"min": 2.0, "max": 1.0}}

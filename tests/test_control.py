@@ -94,6 +94,9 @@ class TestActionSet:
             ActionSet.from_grid(1.0, -1.0, 0.1)
         with pytest.raises(ValueError):
             ActionSet.from_grid(0.0, 1.0, 0.0)
+        for low, high in [(-1.7e308, 1.7e308), (0.0, np.inf)]:  # rejected before any allocation
+            with pytest.raises(ValueError, match="finite span"):
+                ActionSet.from_grid(low, high, 1.0)
 
     def test_rejects_empty_and_nonfinite(self):
         with pytest.raises(ValueError):

@@ -20,7 +20,6 @@ from dualgp.gp import (
     FactorizationError,
     GpModel,
     KernelConfig,
-    _distinct_rows,
     gaussian_entropy,
     solve_triangular,
 )
@@ -51,14 +50,16 @@ def reference_posterior(kernel, noise, X, y, q):
     return mean, var
 
 
+def dense_gram(kernel, A, B):
+    """Kernel matrix between two point sets from one broadcast, no shared code path."""
+    d2 = np.sum((A[:, None, :] - B[None, :, :]) ** 2, axis=-1)
+    return kernel.signal_variance * np.exp(-0.5 * d2 / kernel.length_scale**2)
+
+
 def dense_posterior(kernel, noise, X, y, Q):
     """Means, variances and ln det from one dense covariance and numpy solves."""
-    def gram(A, B):
-        d2 = np.sum((A[:, None, :] - B[None, :, :]) ** 2, axis=-1)
-        return kernel.signal_variance * np.exp(-0.5 * d2 / kernel.length_scale**2)
-
-    C = gram(X, X) + (noise + kernel.jitter) * np.eye(len(X))
-    k = gram(X, Q)
+    C = dense_gram(kernel, X, X) + (noise + kernel.jitter) * np.eye(len(X))
+    k = dense_gram(kernel, X, Q)
     means = k.T @ np.linalg.solve(C, y)
     variances = kernel.signal_variance + noise - np.sum(k * np.linalg.solve(C, k), axis=0)
     return means, variances, np.linalg.slogdet(C)[1]
@@ -93,13 +94,13 @@ def parent_and_point(rng, dim, noise, M):
 
 
 @st.composite
-def separated_problem(draw):
-    """A kernel, a noise level and up to 120 training pairs spaced apart on the length scale."""
+def separated_problem(draw, max_points=120):
+    """A kernel, a noise level and up to max_points training pairs spaced on the length scale."""
     dim = draw(st.integers(1, 3))
     noise = draw(st.one_of(st.just(0.0), st.floats(1e-3, 0.3)))
     kern = KernelConfig(signal_variance=draw(st.floats(0.2, 2.0)),
                         length_scale=draw(st.floats(0.2, 2.0)))
-    m = draw(st.integers(1, 120))
+    m = draw(st.integers(1, max_points))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     # a gap of 0.7 length scales keeps the noise-free covariance well conditioned;
     # dart throwing in a box about twice as wide as m points at that gap need
@@ -112,16 +113,6 @@ def separated_problem(draw):
             X = np.vstack([X, x])
     probes = rng.uniform(-half, half, size=(25, dim))
     return kern, noise, X, rng.normal(size=m), probes
-
-
-@st.composite
-def rows_with_repeats(draw):
-    """An (n, d) point set drawn with repeats from a few rows sharing some coordinates."""
-    dim = draw(st.integers(1, 3))
-    coordinate = st.one_of(st.sampled_from([-2.0, -0.0, 0.0, 0.5]), st.floats(-1e6, 1e6))
-    pool = draw(st.lists(st.tuples(*[coordinate] * dim), min_size=1, max_size=6))
-    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=40))
-    return np.array([pool[i] for i in picks], dtype=float).reshape(len(picks), dim)
 
 
 class TestKernel:
@@ -319,12 +310,35 @@ class TestPosterior:
         gp = GpModel(kern, 0.05, DataSet(X, y))
         Q = np.array([[0.3], [-1.0], [0.3], [0.3], [-1.0], [1.7]])
         means, variances = gp.posterior_batch(Q)
-        assert variances[0] == variances[2] == variances[3]
-        assert variances[1] == variances[4]
         for q, mean, var in zip(Q, means, variances):
             mean_ref, var_ref = reference_posterior(kern, 0.05, X, y, q)
             assert mean == pytest.approx(mean_ref, abs=1e-12)
             assert var == pytest.approx(var_ref, abs=1e-12)
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(separated_problem(max_points=150), st.sampled_from(["repeated", "distinct", "mixed"]),
+           st.lists(st.integers(0, 4), min_size=1, max_size=120))
+    def test_rows_in_every_shape_match_a_dense_solve(self, problem, shape, picks):
+        # one row repeated (additive control), all distinct (cart and black-box
+        # action grids), or distinct rows with repeats (library callers)
+        kern, noise, X, y, probes = problem
+        gp = GpModel(kern, noise, DataSet(X, y))
+        pick = {"repeated": np.full(len(picks), picks[0]),
+                "distinct": np.arange(len(probes)),
+                "mixed": np.array(picks + [0, 1, 0])}[shape]
+        means, variances = gp.posterior_batch(probes[pick])
+        ref_means, ref_vars, _ = dense_posterior(kern, noise, X, y, probes[pick])
+        assert_allclose(means, ref_means, rtol=0, atol=1e-6)
+        assert_allclose(variances, np.clip(ref_vars, 0.0, gp.prior_variance), rtol=0, atol=1e-8)
+        for row in np.unique(pick):
+            copies = pick == row
+            assert_allclose(means[copies], means[copies][0], rtol=0, atol=1e-12)
+            assert_allclose(variances[copies], variances[copies][0], rtol=0, atol=1e-12)
+
+    def test_empty_batch(self):
+        gp = GpModel(KernelConfig(), 0.1, DataSet([[0.0, 1.0]], [0.5]))
+        means, variances = gp.posterior_batch(np.zeros((0, 2)))
+        assert means.shape == variances.shape == (0,)
 
     def test_dimension_mismatch_rejected(self):
         gp = GpModel.empty(KernelConfig(), 0.1, dim=2)
@@ -339,34 +353,6 @@ class TestPosterior:
         gp = GpModel.empty(KernelConfig(), 0.1, dim=1)
         with pytest.raises(ValueError, match="points contain non-finite values"):
             gp.posterior([np.nan])
-
-
-class TestDistinctRows:
-    @settings(derandomize=True, deadline=None, max_examples=300)
-    @given(rows_with_repeats())
-    def test_first_occurrences_rebuild_every_row(self, points):
-        is_first, copies = _distinct_rows(points)
-        assert np.array_equal(points[is_first][copies], points)
-        seen = []
-        for i, row in enumerate(points):
-            if not any(np.array_equal(row, other) for other in seen):
-                seen.append(row)
-                assert is_first[i], i
-            else:
-                assert not is_first[i], i
-
-    @settings(derandomize=True, deadline=None, max_examples=100)
-    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=3), st.integers(1, 120))
-    def test_repeated_row_matches_the_sorted_path(self, row, n):
-        # one row n times takes the early return; with a different row after it the
-        # same n rows go through the sort, which must agree on them
-        points = np.repeat(np.array([row]), n, axis=0)
-        fast = _distinct_rows(points)
-        mixed = _distinct_rows(np.vstack([points, points[:1] + 1.0]))
-        assert mixed[0][-1] and mixed[1][-1] == 1
-        for got, want in zip(fast, mixed):
-            assert got.dtype == want.dtype
-            assert np.array_equal(got, want[:n])
 
 
 class TestSolveTriangular:
@@ -706,6 +692,23 @@ class TestExtendedLogDet:
             assert gp.extended_log_det(borders) == pytest.approx(ref, abs=1e-10)
             schur = full[M:, M:] - full[M:, :M] @ np.linalg.solve(full[:M, :M], full[:M, M:])
             assert np.allclose(gp.schur_complement(borders), schur, rtol=0, atol=1e-10)
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(separated_problem(), st.integers(1, 4))
+    def test_schur_complement_matches_the_bordered_matrix(self, problem, p):
+        # the first p separated points border the model of the rest, which may be empty
+        kern, noise, points, y, _ = problem
+        p = min(p, len(points))
+        X, border = points[p:], points[:p]
+        gp = GpModel(kern, noise, DataSet(X, y[p:], dim=points.shape[1]))
+        ordered = np.vstack([X, border])
+        full = dense_gram(kern, ordered, ordered) + (noise + kern.jitter) * np.eye(len(ordered))
+        m = len(X)
+        schur = full[m:, m:] - full[m:, :m] @ np.linalg.solve(full[:m, :m], full[:m, m:])
+        assert_allclose(gp.schur_complement(border), schur, rtol=0, atol=1e-9)
+        sign, ref = np.linalg.slogdet(full)
+        assert sign == 1.0
+        assert gp.extended_log_det(border) == pytest.approx(ref, rel=1e-9, abs=1e-9)
 
     def test_consistent_with_observation_append(self):
         # the bordered log-det equals log_det after absorbing the probe

@@ -305,6 +305,16 @@ class TestCli:
         assert main(["validate", cfg]) == 1
         assert "action_grid.step" in capsys.readouterr().err
 
+    def test_validate_exit_1_on_a_grid_run_cannot_build(self, tmp_path, capsys):
+        grid = {"min": 0, "max": 1, "step": 1e-300}
+        raw = {"scenario": "logistic_linear", "steps": 1, "action_grid": grid}
+        cfg = self.write_cfg(tmp_path, raw)
+        assert main(["validate", cfg]) == 1
+        assert main(["run", cfg, "--out", str(tmp_path / "t.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "config error: action_grid.step: (max - min) / step must be < 1000000" in err
+        assert "Traceback" not in err
+
     def test_validate_exit_1_on_lookahead(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path, {"scenario": "cart_benchmark", "lookahead": 1})
         assert main(["validate", cfg]) == 1
