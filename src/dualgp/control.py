@@ -4,9 +4,10 @@ Each step scores every action in a finite set by a weighted objective,
 tracking distance of the predicted next output from the reference minus
 a multiple of the predictive variance at the candidate input, applies the
 argmin action to the plant, observes the (possibly noisy) result, and
-feeds the new transition back into the per-output GP models. A separate
-benchmark mode plans against the true dynamics with no learning, to give
-the learned controller something to be compared with.
+feeds the new transition back into the per-output GP models. The
+benchmark planner runs the same loop with the true dynamics as an exact,
+zero-variance model and no learning, to give the learned controller
+something to be compared with.
 
 Three I/O structures cover the experiments: additive_control (control
 enters the output additively, so the GP learns only the drift),
@@ -88,10 +89,10 @@ class Weights:
     schedule_steps: int = 0
 
     def __post_init__(self):
-        if self.w1 < 0 or self.w2_start < 0 or self.w2_end < 0:
-            raise ValueError("weights must be non-negative")
-        if self.schedule_steps < 0:
-            raise ValueError("schedule_steps must be >= 0")
+        if not all(0 <= w < np.inf for w in (self.w1, self.w2_start, self.w2_end)):
+            raise ValueError("weights must be finite and non-negative")
+        if not (0 <= self.schedule_steps < np.inf):
+            raise ValueError(f"schedule_steps must be finite and >= 0, got {self.schedule_steps}")
         # linear schedule: if both endpoints vanish with w1=0 the objective
         # is degenerate at some t
         if self.w1 + min(self.w2_start, self.w2_end) <= 0:
@@ -299,7 +300,9 @@ def _score(io: IoModel, y, actions, r, w1: float, w2: float):
         raise ValueError(
             f"reference has dimension {r.shape[0]}, tracked output has {tracked.shape[1]}"
         )
-    track_err = np.linalg.norm(tracked - r[None, :], axis=1)
+    # a divergent prediction may overflow the squares inside the norm; it is inf then
+    with np.errstate(over="ignore"):
+        track_err = np.linalg.norm(tracked - r[None, :], axis=1)
     scores = w1 * track_err - w2 * np.sum(variances, axis=1)
     return scores, means, variances
 
@@ -381,37 +384,33 @@ def run_episode(plant, io: IoModel, phi: ActionSet, reference, weights: Weights,
     return records
 
 
-def run_benchmark_episode(plant, phi: ActionSet, reference, steps: int):
-    """Full-knowledge planner: simulate each action one step on the true dynamics.
+class _ExactModel:
+    """The plant's true one-step map as a zero-variance model that never learns."""
+
+    def __init__(self, plant, io: IoModel):
+        self.plant = plant
+        self.tracking_values = io.tracking_values
+
+    def predict_batch(self, y, actions):
+        plant = self.plant
+        means = np.array([plant.output_of(plant.simulate(plant.state, float(a[0])))
+                          for a in actions])
+        return means, np.zeros_like(means)
+
+    def update(self, y, u, y_next):
+        pass
+
+
+def run_benchmark_episode(plant, io: IoModel, phi: ActionSet, reference, steps: int):
+    """Full-knowledge planner: run_episode with the true dynamics as its model.
 
     Each step simulates every action once from the true state and picks the
-    one whose tracked output lands closest to the reference. No learning, no
-    noise; variance fields are recorded as zero and the predicted mean is the
-    exact one-step output of the chosen action's simulated state. A plant
+    one whose tracked output, by the structure ``io``, lands closest to the
+    reference. No learning, no noise; variances are recorded as zero and the
+    predicted mean is the exact one-step output of the chosen action. A plant
     divergence at step t raises EpisodeAborted with steps 0..t-1.
     """
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
     if phi.dim != 1:
         raise ValueError("benchmark planning expects scalar actions")
-    ref = make_reference(reference)
-    records = []
-    try:
-        for t in range(steps):
-            r_t = ref(t)
-            best = None
-            for i, action in enumerate(phi.actions):
-                state = plant.simulate(plant.state, float(action[0]))
-                err = abs(plant.plan_output(state) - float(r_t[0]))
-                if best is None or err < best[0]:
-                    best = (err, i, state)
-            err, idx, state = best
-            predicted = plant.output_of(state)
-            plant.step(float(phi.actions[idx][0]))
-            records.append(_finish_record(
-                t, phi.actions[idx].copy(), plant.output(), r_t,
-                predicted, np.zeros_like(predicted), float(err),
-            ))
-    except PlantDiverged as exc:
-        raise EpisodeAborted(t, exc, records) from exc
-    return records
+    exact = _ExactModel(plant, io)
+    return run_episode(plant, exact, phi, reference, Weights(1.0, 0.0, 0.0), steps)

@@ -133,12 +133,12 @@ class KernelConfig:
     jitter: float = 1e-9
 
     def __post_init__(self):
-        if not (self.signal_variance > 0):
-            raise ValueError(f"signal_variance must be > 0, got {self.signal_variance}")
-        if not (self.length_scale > 0):
-            raise ValueError(f"length_scale must be > 0, got {self.length_scale}")
-        if not (self.jitter >= 0):
-            raise ValueError(f"jitter must be >= 0, got {self.jitter}")
+        if not (0 < self.signal_variance < np.inf):
+            raise ValueError(f"signal_variance must be finite and > 0, got {self.signal_variance}")
+        if not (0 < self.length_scale < np.inf):
+            raise ValueError(f"length_scale must be finite and > 0, got {self.length_scale}")
+        if not (0 <= self.jitter < np.inf):
+            raise ValueError(f"jitter must be finite and >= 0, got {self.jitter}")
 
     def value(self, x, x2) -> float:
         """Kernel between two points; symmetric, in (0, signal_variance]."""

@@ -176,7 +176,7 @@ def run_scenario(cfg: dict) -> EpisodeResult:
     aborted = None
     try:
         if cfg["selection"] == "benchmark":
-            records = run_benchmark_episode(plant, phi, cfg["target"], cfg["steps"])
+            records = run_benchmark_episode(plant, io, phi, cfg["target"], cfg["steps"])
         else:
             records = run_episode(
                 plant, io, phi, cfg["target"], Weights(**cfg["weights"]), cfg["steps"],

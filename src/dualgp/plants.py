@@ -9,7 +9,7 @@ Observations go through a separate seeded channel that can add Gaussian
 noise; observing never mutates the plant.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -78,10 +78,6 @@ class LogisticPlant:
         """Noise-free observable, shape (1,)."""
         return np.array([self.state])
 
-    def plan_output(self, state) -> float:
-        """Tracked quantity a planner scores a hypothetical state by."""
-        return float(np.asarray(state, dtype=float).reshape(-1)[0])
-
 
 @dataclass(frozen=True)
 class CartParams:
@@ -95,9 +91,10 @@ class CartParams:
     pendulum_mass: float = 0.051  # m (kg)
 
     def __post_init__(self):
-        for name in ("timestep", "cart_mass", "arm_length", "pendulum_mass"):
-            if not (getattr(self, name) > 0):
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (0 < value < np.inf):
+                raise ValueError(f"{f.name} must be finite and > 0, got {value}")
 
 
 class CartPlant:
@@ -155,16 +152,6 @@ class CartPlant:
     def output(self) -> np.ndarray:
         """Noise-free observable [position, velocity], shape (2,)."""
         return self.state[:2].copy()
-
-    def plan_output(self, state) -> float:
-        """Position one kinematic step ahead: pos + T * vel.
-
-        The control input needs a step to reach the position channel, so
-        planners rank actions by where the position is already committed
-        to go rather than by the u-independent instantaneous position.
-        """
-        s = np.asarray(state, dtype=float).reshape(-1)
-        return float(s[0] + self.params.timestep * s[1])
 
 
 class ObservationChannel:

@@ -28,6 +28,16 @@ BB_VAR_SELF = 0.19090909090909103
 KERN = KernelConfig(signal_variance=1.0, length_scale=1.0, jitter=1e-9)
 
 
+def _scalar_io():
+    """Structure of a scalar plant: the tracked quantity is the next output."""
+    return AdditiveControlModel(KERN, noise_variance=0.0)
+
+
+def _cart_io():
+    """Cart structure: the tracked quantity is the two-step position."""
+    return CartSideInfoModel(KERN, noise_variance=0.0, timestep=CartPlant().params.timestep)
+
+
 class _IdentityPlant:
     """Toy plant whose next state is the action itself."""
 
@@ -46,9 +56,6 @@ class _IdentityPlant:
 
     def output(self):
         return self.output_of(self.state)
-
-    def plan_output(self, state):
-        return float(state)
 
 
 class _FrozenPlant:
@@ -135,6 +142,19 @@ class TestWeights:
         # w1=0 with a vanishing endpoint would zero the whole objective
         with pytest.raises(ValueError):
             Weights(0.0, 0.0, 40.0, 100)
+
+    @pytest.mark.parametrize("args", [
+        (np.nan, 1.0, 1.0, 0),
+        (np.inf, 1.0, 1.0, 0),
+        (1.0, np.nan, 1.0, 10),
+        (1.0, 0.0, np.inf, 10),
+        (1.0, 0.0, 1.0, np.nan),
+        (1.0, 0.0, 1.0, np.inf),
+    ])
+    def test_non_finite_rejected(self, args):
+        # a NaN weight would make every objective NaN and argmin pick index 0
+        with pytest.raises(ValueError, match="finite"):
+            Weights(*args)
 
 
 class TestPredictions:
@@ -416,7 +436,7 @@ class TestEpisodeAborted:
                 io = AdditiveControlModel(KERN, noise_variance=0.01)
                 run_episode(plant, io, phi, 0.5, Weights.constant(1, 1), steps=10)
             else:
-                run_benchmark_episode(plant, phi, 0.5, steps=10)
+                run_benchmark_episode(plant, _scalar_io(), phi, 0.5, steps=10)
         assert info.value.step == k
         assert [r.step for r in info.value.records] == list(range(k))
         assert isinstance(info.value.__cause__, PlantDiverged)
@@ -466,23 +486,25 @@ class TestBenchmark:
     def test_identity_plant_picks_nearest(self):
         plant = _IdentityPlant()
         phi = ActionSet.from_grid(0.0, 1.0, 0.25)
-        records = run_benchmark_episode(plant, phi, 0.6, steps=1)
+        records = run_benchmark_episode(plant, _scalar_io(), phi, 0.6, steps=1)
         assert records[0].action[0] == pytest.approx(0.5)
 
     def test_exact_tie_takes_lower_index(self):
         plant = _IdentityPlant()
         phi = ActionSet.from_grid(0.0, 1.0, 0.25)
-        records = run_benchmark_episode(plant, phi, 0.625, steps=1)
+        records = run_benchmark_episode(plant, _scalar_io(), phi, 0.625, steps=1)
         assert records[0].action[0] == pytest.approx(0.5)
 
     def test_variance_fields_are_zero(self):
-        records = run_benchmark_episode(_IdentityPlant(), ActionSet([0.0, 1.0]), 0.7, steps=3)
+        records = run_benchmark_episode(
+            _IdentityPlant(), _scalar_io(), ActionSet([0.0, 1.0]), 0.7, steps=3
+        )
         for rec in records:
             assert np.all(rec.predicted_variance == 0.0)
 
     def test_predicted_mean_is_exact_one_step(self):
         plant = _IdentityPlant()
-        records = run_benchmark_episode(plant, ActionSet([0.25, 0.75]), 0.7, steps=2)
+        records = run_benchmark_episode(plant, _scalar_io(), ActionSet([0.25, 0.75]), 0.7, steps=2)
         # next state equals the chosen action for this plant
         for rec in records:
             assert rec.estimation_error == 0.0
@@ -490,7 +512,7 @@ class TestBenchmark:
     def test_cart_benchmark_reaches_band(self):
         plant = CartPlant(state=[0.0, 0.0, 0.6, 0.0])
         phi = ActionSet.from_grid(-10.0, 10.0, 1.0)
-        records = run_benchmark_episode(plant, phi, 0.5, steps=40)
+        records = run_benchmark_episode(plant, _cart_io(), phi, 0.5, steps=40)
         hits = [r.step for r in records if abs(r.observation[0] - 0.5) <= 0.05]
         assert hits and hits[0] <= 40
 
@@ -499,7 +521,7 @@ class TestBenchmark:
         for _ in range(2):
             plant = CartPlant(state=[0.0, 0.0, 0.6, 0.0])
             phi = ActionSet.from_grid(-10.0, 10.0, 1.0)
-            runs.append(run_benchmark_episode(plant, phi, 0.5, steps=20))
+            runs.append(run_benchmark_episode(plant, _cart_io(), phi, 0.5, steps=20))
         for a, b in zip(*runs):
             assert a.action[0] == b.action[0]
             assert np.array_equal(a.observation, b.observation)
@@ -514,8 +536,35 @@ class TestBenchmark:
 
         plant.simulate = simulate
         phi = ActionSet.from_grid(-10.0, 10.0, 1.0)
-        run_benchmark_episode(plant, phi, 0.5, steps=3)
+        run_benchmark_episode(plant, _cart_io(), phi, 0.5, steps=3)
         assert calls == list(phi.actions[:, 0]) * 3
+
+    def test_tracked_quantity_comes_from_the_structure(self):
+        class Mirrored(AdditiveControlModel):
+            def tracking_values(self, y, actions, means):
+                return -means
+
+        phi = ActionSet.from_grid(0.0, 1.0, 0.25)
+        plain = run_benchmark_episode(_IdentityPlant(), _scalar_io(), phi, 0.6, steps=1)
+        mirrored = run_benchmark_episode(
+            _IdentityPlant(), Mirrored(KERN, noise_variance=0.0), phi, 0.6, steps=1
+        )
+        # |u - 0.6| is least at u = 0.5, |-u - 0.6| at u = 0
+        assert plain[0].action[0] == 0.5 and mirrored[0].action[0] == 0.0
+        assert mirrored[0].objective_value == pytest.approx(0.6)
+
+    def test_cart_scores_the_two_step_position(self):
+        plant = CartPlant(state=[0.1, 0.4, 0.6, 0.0])
+        phi = ActionSet.from_grid(-10.0, 10.0, 1.0)
+        before = plant.state.copy()
+        rec = run_benchmark_episode(plant, _cart_io(), phi, 0.5, steps=1)[0]
+        T = plant.params.timestep
+        two_step = [
+            abs(s[0] + T * s[1] - 0.5)
+            for s in (CartPlant.transition(before, u, plant.params) for u in phi.actions[:, 0])
+        ]
+        assert rec.action[0] == phi.actions[int(np.argmin(two_step)), 0]
+        assert rec.objective_value == min(two_step)
 
 
 class TestNonlinearScenarioSmoke:

@@ -4,6 +4,7 @@ import re
 import sys
 import threading
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -154,6 +155,12 @@ class TestKernel:
             {"signal_variance": -1.0},
             {"length_scale": 0.0},
             {"jitter": -1e-9},
+            {"signal_variance": np.inf},
+            {"signal_variance": np.nan},
+            {"length_scale": np.inf},
+            {"length_scale": np.nan},
+            {"jitter": np.inf},
+            {"jitter": np.nan},
         ],
     )
     def test_invalid_parameters_rejected(self, kwargs):
@@ -743,12 +750,65 @@ class TestFactorizationError:
         with pytest.raises(FactorizationError, match=r"\(0, 1\)"):
             gp.with_observation([0.5], 2.0)
 
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(separated_problem(max_points=40), st.integers(0, 2**32 - 1), st.booleans())
+    def test_append_at_round_off_distance_raises(self, problem, draw, queried):
+        # the new input is a few ulps from a stored one: in exact arithmetic its
+        # pivot is ~1e-24 of the diagonal, and round-off leaves either sign of it
+        kern, _, X, y, _ = problem
+        kern = KernelConfig(kern.signal_variance, kern.length_scale, jitter=0.0)
+        rng = np.random.default_rng(draw)
+        i = int(rng.integers(len(X)))
+        x = X[i] + rng.integers(-4, 5, size=X.shape[1]) * np.spacing(X[i])
+        gp = GpModel(kern, 0.0, DataSet(X, y))
+        if queried:  # additive control's path: the append reuses the query's column
+            gp.posterior(x)
+        with pytest.raises(FactorizationError, match=rf"\({i}, {len(X)}\)"):
+            gp.with_observation(x, 0.0)
+
     def test_noise_rescues_duplicates(self):
         kern = KernelConfig(signal_variance=1.0, length_scale=1.0, jitter=0.0)
         data = DataSet([[0.5], [0.5]], [1.0, 3.0])
         gp = GpModel(kern, 0.1, data)
         # the posterior averages the two conflicting targets
         assert gp.posterior([0.5]).mean == pytest.approx(2.0 * 2.0 / 2.1, abs=1e-12)
+
+
+def _exact_solve(matrix, rhs):
+    """x with matrix @ x = rhs in exact rational arithmetic, by Gaussian elimination."""
+    n = len(rhs)
+    rows = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if rows[r][c] != 0)
+        rows[c], rows[p] = rows[p], rows[c]
+        for r in range(c + 1, n):
+            f = rows[r][c] / rows[c][c]
+            if f:
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
+    x = [Fraction(0)] * n
+    for c in reversed(range(n)):
+        x[c] = (rows[c][n] - sum(rows[c][j] * x[j] for j in range(c + 1, n))) / rows[c][c]
+    return x
+
+
+class TestExactOracle:
+    def test_noise_free_logistic_means_match_an_exact_solve(self):
+        # noise-free logistic runs keep every transition, so the covariance
+        # conditioning reaches ~5e8 and the means are a cancellation of O(1)
+        # numbers; the recorded prediction must still be the exact solve of
+        # the same float K and k to 1e-10
+        result = run_scenario(resolve_config({"scenario": "logistic_linear", "steps": 41}))
+        gp = result.io.gps[0]
+        X, targets = gp.data.inputs, gp.data.targets
+        K = gp.covariance_matrix()
+        for m in (10, 25, 40):
+            rec = result.records[m]
+            query = result.records[m - 1].observation
+            k = gp.kernel.cross(X[:m], query[None, :])[:, 0]
+            a = _exact_solve(K[:m, :m], targets[:m])
+            exact = sum(Fraction(kj) * aj for kj, aj in zip(k, a)) + Fraction(rec.action[0])
+            rel = abs(Fraction(rec.predicted_mean[0]) - exact) / abs(exact)
+            assert rel <= Fraction(1, 10**10), (m, float(rel))
 
 
 class TestGaussianEntropy:

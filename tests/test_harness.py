@@ -282,6 +282,17 @@ class TestCli:
         assert len(read_csv(out)) == 2  # header and the one completed step
         assert "aborted: step 1:" in capsys.readouterr().err
 
+    def test_run_exit_2_on_overflowing_objective(self, tmp_path, capsys):
+        # the learner's tracking distance of a 1e300 action overflows its
+        # square; that is an inf objective, not a RuntimeWarning
+        cfg = self.write_cfg(
+            tmp_path, {"scenario": "logistic_linear", **HUGE_ACTIONS, "steps": 5}
+        )
+        out = str(tmp_path / "trace.csv")
+        assert main(["run", cfg, "--out", out]) == 2
+        assert read_csv(out)[1][6] == "inf"
+        assert "aborted: step 1:" in capsys.readouterr().err
+
     def test_run_exit_1_on_unfactorizable_initial_data(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path, {"scenario": "logistic_linear", **DUPLICATE_POINTS})
         out = str(tmp_path / "trace.csv")

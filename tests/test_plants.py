@@ -1,5 +1,6 @@
 """Plant simulators: logistic map variants, cart-pendulum, noise channel."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -90,10 +91,6 @@ class TestLogisticPlant:
         with pytest.raises(PlantDiverged):
             p.step(0.0)
 
-    def test_plan_output_is_state(self):
-        p = LogisticPlant()
-        assert p.plan_output(0.37) == 0.37
-
     def test_output_shape(self):
         p = LogisticPlant(state=0.4)
         out = p.output()
@@ -136,10 +133,6 @@ class TestCartPlant:
         p = CartPlant(state=[0.1, -0.2, 0.3, 0.4])
         assert np.array_equal(p.output(), [0.1, -0.2])
 
-    def test_plan_output_commits_one_kinematic_step(self):
-        p = CartPlant()
-        assert p.plan_output([0.5, 2.0, 0.0, 0.0]) == pytest.approx(0.6, abs=1e-15)
-
     def test_bad_state_shape_rejected(self):
         with pytest.raises(ValueError):
             CartPlant(state=[0.0, 0.0, 0.0])
@@ -147,6 +140,14 @@ class TestCartPlant:
     def test_bad_params_rejected(self):
         with pytest.raises(ValueError):
             CartParams(timestep=0.0)
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(CartParams)])
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.inf, np.nan])
+    def test_every_constant_must_be_finite_and_positive(self, name, value):
+        # the bounds the config applies to plant.*; a NaN or infinite
+        # constant would make every step diverge
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            CartParams(**{name: value})
 
     def test_divergence_detected(self):
         p = CartPlant(state=[0.0, 1e300, 0.0, 0.0])
