@@ -148,7 +148,10 @@ class KernelConfig:
 
     def cross(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Kernel matrix between two point sets, shape (len(rows), len(cols))."""
-        d2 = _sq_dist(np.atleast_2d(rows), np.atleast_2d(cols))
+        return self._from_sq_dist(_sq_dist(np.atleast_2d(rows), np.atleast_2d(cols)))
+
+    def _from_sq_dist(self, d2: np.ndarray) -> np.ndarray:
+        """Kernel values at the squared distances ``d2``, entry by entry."""
         return self.signal_variance * np.exp(-0.5 * d2 / self.length_scale**2)
 
 
@@ -372,10 +375,16 @@ class GpModel:
         covariance bordered by the points P. A 1-D argument is one point.
         """
         pts = _as_rows(np.atleast_2d(points), self.dim, "border points")
+        return self._schur_complement(pts, self.kernel.cross(self.data.inputs, pts))
+
+    def _schur_complement(self, pts, k):
+        """schur_complement of checked points ``pts``, given k = k(X, pts).
+
+        A Fortran-ordered ``k`` spares the triangular solve a transposing copy.
+        """
         block = self.kernel.cross(pts, pts)
         block[np.diag_indices(pts.shape[0])] += self._diagonal_boost()
         if len(self.data) > 0:
-            k = self.kernel.cross(self.data.inputs, pts)
             w = solve_triangular(self._chol, k)
             block = block - w.T @ w
         return block

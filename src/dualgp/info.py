@@ -67,16 +67,18 @@ def _require_scoreable(model: GpModel, candidates: CandidateSet):
         )
 
 
-def _check_disjoint(model: GpModel, candidates: CandidateSet):
+def _disjoint_sq_dist(model: GpModel, candidates: CandidateSet) -> np.ndarray:
+    """Candidate x training squared distances, once no candidate duplicates an input."""
     # keep Theta disjoint from the training inputs when picking a probe,
     # else the sigma=0 case goes singular and re-measuring known points
     # can look informative
-    hit = np.argwhere(_sq_dist(candidates.points, model.data.inputs) <= DUPLICATE_TOL**2)
-    if hit.size:
-        i, j = hit[0]
+    d2 = _sq_dist(candidates.points, model.data.inputs)
+    if d2.size and d2.min() <= DUPLICATE_TOL**2:
+        i, j = np.argwhere(d2 <= DUPLICATE_TOL**2)[0]
         raise ValueError(
             f"candidate {i} duplicates training input {j} (within {DUPLICATE_TOL})"
         )
+    return d2
 
 
 def _log_dets(dets, pivots):
@@ -128,8 +130,9 @@ def select_exhaustive(model: GpModel, candidates: CandidateSet) -> SelectionResu
     noise stays off their shared entry even when both are one point.
     """
     _require_scoreable(model, candidates)
-    _check_disjoint(model, candidates)
-    schur = model.schur_complement(candidates.points)
+    d2 = _disjoint_sq_dist(model, candidates)
+    # transposed, the (M, n) kernel block is in the Fortran order the solve takes
+    schur = model._schur_complement(candidates.points, model.kernel._from_sq_dist(d2).T)
     s = np.diag(schur)
     dets = np.outer(s, s) - schur**2
     # self-pair: s^2 - (s - boost)^2 without the cancellation of two near-equal squares
@@ -144,7 +147,7 @@ def select_exhaustive(model: GpModel, candidates: CandidateSet) -> SelectionResu
 def select_max_variance(model: GpModel, candidates: CandidateSet) -> SelectionResult:
     """Candidate with the largest posterior variance; ties take the lowest index."""
     _require_scoreable(model, candidates)
-    _check_disjoint(model, candidates)
+    _disjoint_sq_dist(model, candidates)
     _, variances = model.posterior_batch(candidates.points)
     idx = int(np.argmax(variances))
     return SelectionResult(

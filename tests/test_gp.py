@@ -24,7 +24,7 @@ from dualgp.gp import (
     gaussian_entropy,
     solve_triangular,
 )
-from dualgp.harness import run_scenario
+from dualgp.harness import build_action_set, run_scenario
 
 # frozen reference values, computed from the closed forms with numpy
 EXP_HALF = 0.6065306597126334       # exp(-0.5)
@@ -809,6 +809,26 @@ class TestExactOracle:
             exact = sum(Fraction(kj) * aj for kj, aj in zip(k, a)) + Fraction(rec.action[0])
             rel = abs(Fraction(rec.predicted_mean[0]) - exact) / abs(exact)
             assert rel <= Fraction(1, 10**10), (m, float(rel))
+
+
+class TestEpisodeDenseCheck:
+    def test_final_logistic_posterior_matches_a_dense_solve(self):
+        # 1000 appends to one factor, noise free: the final model's posterior on
+        # the action grid must still be the dense solve's, to 1e-6 and 1e-8
+        result = run_scenario(resolve_config({"scenario": "logistic_linear", "steps": 1000}))
+        assert result.aborted is None
+        gp = result.io.gps[0]
+        assert len(gp.data) == 1000
+        y = np.asarray(result.records[-1].observation, dtype=float)
+        points = result.io.candidate_inputs(y, build_action_set(result.config).actions)
+        means, variances = gp.posterior_batch(points)
+        cov = gp.covariance_matrix()
+        k = gp.kernel.cross(gp.data.inputs, points)
+        dense_means = k.T @ np.linalg.solve(cov, gp.data.targets)
+        dense_vars = np.clip(gp.prior_variance - np.sum(k * np.linalg.solve(cov, k), axis=0),
+                             0.0, gp.prior_variance)
+        assert np.max(np.abs(means - dense_means)) <= 1e-6
+        assert np.max(np.abs(variances - dense_vars)) <= 1e-8
 
 
 class TestGaussianEntropy:

@@ -5,8 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dualgp.gp import DataSet, GpModel, KernelConfig
+from dualgp import gp as gp_module
+from dualgp import info as info_module
+from dualgp.gp import DataSet, FactorizationError, GpModel, KernelConfig
 from dualgp.info import (
     CandidateSet,
     aggregate_log_det,
@@ -40,6 +44,47 @@ def dense_bordered_log_det(kernel, noise, X, borders):
     sign, val = np.linalg.slogdet(C)
     assert sign == 1.0
     return val
+
+
+def reference_selection(model, theta):
+    """(index, score) of the summed bordered log-dets over the public schur_complement.
+
+    None where a leading pivot or a determinant is not positive.
+    """
+    schur = model.schur_complement(theta.points)
+    s = np.diag(schur)
+    dets = np.outer(s, s) - schur**2
+    boost = model.noise_variance + model.kernel.jitter
+    np.fill_diagonal(dets, boost * (2 * s - boost))
+    if np.any(s <= 0) or np.any(dets <= 0):
+        return None
+    scores = len(s) * model.log_det() + np.sum(np.log(dets), axis=0)
+    idx = int(np.argmin(scores))
+    return idx, float(scores[idx])
+
+
+@st.composite
+def selection_problem(draw):
+    """A model of 0-60 lattice-spread training points and 1-30 candidates off them."""
+    dim = draw(st.sampled_from([1, 2]))
+    noise = draw(st.sampled_from([0.0, 0.01]))
+    kern = KernelConfig(signal_variance=draw(st.floats(0.2, 1.5)),
+                        length_scale=draw(st.floats(0.3, 1.5)))
+    # hypothesis favours small integers; the second range draws sizes near the top too
+    m = draw(st.one_of(st.integers(0, 60), st.integers(45, 60)))
+    n = draw(st.one_of(st.integers(1, 30), st.integers(20, 30)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # lattice sites 0.7 length scales apart, moved by at most a tenth of that,
+    # keep the noise-free covariance well conditioned
+    gap = 0.7 * kern.length_scale
+    side = int(np.ceil(m ** (1.0 / dim))) if m else 1
+    sites = np.stack(np.meshgrid(*[np.arange(side)] * dim, indexing="ij"), -1).reshape(-1, dim)
+    X = gap * (rng.permutation(sites)[:m] + rng.uniform(-0.1, 0.1, size=(m, dim)))
+    model = GpModel(kern, noise, DataSet(X, rng.normal(size=m), dim=dim))
+    bounds = [(-gap, gap * side)] * dim
+    theta = sample_candidates(bounds, n, mode="uniform_random",
+                              seed=int(rng.integers(2**31)), exclusions=X if m else None)
+    return model, theta
 
 
 def random_instance(rng, max_m=4, max_t=6, dim=1):
@@ -201,6 +246,25 @@ class TestSelectExhaustive:
             assert out.index == int(np.argmin(scores))
             assert out.score == pytest.approx(scores[out.index], rel=1e-12)
 
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(selection_problem())
+    def test_bit_identical_to_the_public_schur_complement(self, problem):
+        # selection builds its kernel block from its own distances; index and
+        # score must be those of the public path to the last bit, and the
+        # kernel must keep its expression, which the scores' bits depend on
+        model, theta = problem
+        kern, X, P = model.kernel, model.data.inputs, theta.points
+        d2 = sum((P[:, None, j] - X[None, :, j]) ** 2 for j in range(model.dim))
+        expected = kern.signal_variance * np.exp(-0.5 * d2 / kern.length_scale**2)
+        assert np.array_equal(kern.cross(P, X), expected)
+        want = reference_selection(model, theta)
+        if want is None:
+            with pytest.raises(FactorizationError):
+                select_exhaustive(model, theta)
+            return
+        out = select_exhaustive(model, theta)
+        assert (out.index, out.score) == want
+
     def test_permutation_covariant(self):
         rng = np.random.default_rng(43)
         for _ in range(20):
@@ -241,6 +305,69 @@ class TestSelectMaxVariance:
         model = GpModel.empty(unit_kernel(), 0.1, dim=2)
         with pytest.raises(ValueError):
             select_max_variance(model, CandidateSet([[0.5]]))
+
+
+class TestDuplicateCandidates:
+    SELECTORS = [select_exhaustive, select_max_variance]
+
+    @staticmethod
+    def two_point_model():
+        return GpModel(unit_kernel(), 0.1, DataSet([[2.0], [0.5]], [0.0, 1.0]))
+
+    @pytest.mark.parametrize("select", SELECTORS)
+    def test_first_pair_named(self, select):
+        # candidates 1 and 2 both duplicate an input; the lowest candidate is named
+        with pytest.raises(ValueError) as exc:
+            select(self.two_point_model(), CandidateSet([[1.0], [0.5], [2.0]]))
+        assert str(exc.value) == "candidate 1 duplicates training input 1 (within 1e-12)"
+
+    @pytest.mark.parametrize("select", SELECTORS)
+    @pytest.mark.parametrize("offset,rejected", [(0.9e-12, True), (1.1e-12, False)])
+    def test_tolerance_edge(self, select, offset, rejected):
+        theta = CandidateSet([[1.0], [0.5 + offset]])
+        if rejected:
+            with pytest.raises(ValueError, match="candidate 1 duplicates training input 1"):
+                select(self.two_point_model(), theta)
+        else:
+            select(self.two_point_model(), theta)
+
+    @pytest.mark.parametrize("select", SELECTORS)
+    def test_empty_model_has_nothing_to_duplicate(self, select):
+        model = GpModel.empty(unit_kernel(), 0.1, dim=1)
+        assert select(model, CandidateSet([[1.0], [0.5], [2.0]])).index in (0, 1, 2)
+
+
+class TestWorkPerSelection:
+    def test_one_distance_block_against_the_training_set(self, monkeypatch):
+        # counted, not timed: M = 200, n = 50 in 2-D, as in the benchmark's selections
+        rng = np.random.default_rng(46)
+        X = rng.uniform(-3, 3, size=(200, 2))
+        model = GpModel(KernelConfig(0.5, 1.0, 1e-9), 0.01, DataSet(X, rng.normal(size=200)))
+        theta = sample_candidates([(-3, 3)] * 2, 50, mode="uniform_random", seed=1,
+                                  exclusions=X)
+        dists, solves, argwheres = [], [], []
+        sq_dist, solve, argwhere = gp_module._sq_dist, gp_module.solve_triangular, np.argwhere
+
+        def counted_dist(rows, cols):
+            dists.append((len(rows), len(cols)))
+            return sq_dist(rows, cols)
+
+        def counted_solve(chol, rhs, trans=False):
+            solves.append((rhs.shape, rhs.flags.f_contiguous))
+            return solve(chol, rhs, trans)
+
+        def counted_argwhere(a):
+            argwheres.append(a.shape)
+            return argwhere(a)
+
+        for module in (gp_module, info_module):
+            monkeypatch.setattr(module, "_sq_dist", counted_dist)
+        monkeypatch.setattr(gp_module, "solve_triangular", counted_solve)
+        monkeypatch.setattr(np, "argwhere", counted_argwhere)
+        select_exhaustive(model, theta)
+        assert sorted(dists) == [(50, 50), (50, 200)]
+        assert solves == [((200, 50), True)]
+        assert argwheres == []
 
 
 class TestSampleCandidates:
