@@ -11,82 +11,66 @@ Errors carry the dotted field path that caused them.
 import json
 import math
 import sys
+from dataclasses import asdict, fields
+
+from .plants import CartParams, LogisticPlant
 
 __all__ = ["ConfigError", "SCENARIOS", "load_config", "resolve_config", "scenario_defaults"]
 
 SCENARIOS = ("logistic_linear", "logistic_nonlinear", "cart_dual", "cart_benchmark")
 
-_CART_PLANT = {
-    "kind": "cart",
-    "timestep": 0.05,
-    "friction": 12.98,
-    "cart_mass": 1.378,
-    "arm_length": 0.325,
-    "gravity": 9.8,
-    "pendulum_mass": 0.051,
+_LOGISTIC_LINEAR = {
+    "scenario": "logistic_linear",
+    "plant": {"kind": "logistic", "r_param": 3.5, "coupling": "additive"},
+    "x0": [0.1],
+    "target": [0.8],
+    "action_grid": {"min": -1.0, "max": 1.0, "step": 0.02},
+    "kernel": {"signal_variance": 0.5, "length_scale": 1.0, "jitter": 1e-9},
+    "noise_variance": 0.0,
+    "weights": {"w1": 1.0, "w2_start": 1.0, "w2_end": 1.0, "schedule_steps": 0},
+    "steps": 100,
+    "seed": 0,
+    "selection": "dual",
+    "initial_data": None,
+}
+
+_CART_DUAL = {
+    "scenario": "cart_dual",
+    "plant": {"kind": "cart", **asdict(CartParams())},
+    "x0": [0.0, 0.0, 0.6, 0.0],
+    "target": [0.5],
+    "action_grid": {"min": -10.0, "max": 10.0, "step": 1.0},
+    "kernel": {"signal_variance": 0.5, "length_scale": 20.0, "jitter": 1e-9},
+    "noise_variance": 0.01,
+    "weights": {"w1": 1.0, "w2_start": 20.0, "w2_end": 20.0, "schedule_steps": 0},
+    "steps": 100,
+    "seed": 0,
+    "selection": "dual",
+    "initial_data": None,
 }
 
 # one entry per scenario; values mirror the experiments the package
-# reproduces, everything user-overridable except plant.kind
+# reproduces, everything user-overridable except plant.kind; a derived
+# scenario names only the fields where it differs from its base
 _DEFAULTS = {
-    "logistic_linear": {
-        "scenario": "logistic_linear",
-        "plant": {"kind": "logistic", "r_param": 3.5, "coupling": "additive"},
-        "x0": [0.1],
-        "target": [0.8],
-        "action_grid": {"min": -1.0, "max": 1.0, "step": 0.02},
-        "kernel": {"signal_variance": 0.5, "length_scale": 1.0, "jitter": 1e-9},
-        "noise_variance": 0.0,
-        "weights": {"w1": 1.0, "w2_start": 1.0, "w2_end": 1.0, "schedule_steps": 0},
-        "steps": 100,
-        "seed": 0,
-        "selection": "dual",
-        "initial_data": None,
-    },
+    "logistic_linear": _LOGISTIC_LINEAR,
     "logistic_nonlinear": {
+        **_LOGISTIC_LINEAR,
         "scenario": "logistic_nonlinear",
-        "plant": {"kind": "logistic", "r_param": 3.8, "coupling": "cosine"},
-        "x0": [0.1],
-        "target": [0.8],
+        "plant": {"kind": "logistic", "r_param": LogisticPlant.COSINE_R, "coupling": "cosine"},
         "action_grid": {"min": 0.0, "max": math.pi, "step": 0.1},
-        "kernel": {"signal_variance": 0.5, "length_scale": 1.0, "jitter": 1e-9},
-        "noise_variance": 0.0,
         "weights": {"w1": 1.0, "w2_start": 0.0, "w2_end": 40.0, "schedule_steps": 100},
-        "steps": 100,
-        "seed": 0,
-        "selection": "dual",
         # the cosine-coupled map punishes blind exploration hard (a single
         # overshoot past its recoverable band never comes back), so the
         # learner starts from a handful of random prior measurements
         "initial_data": {"count": 10, "low": 0.0, "high": 1.2},
     },
-    "cart_dual": {
-        "scenario": "cart_dual",
-        "plant": dict(_CART_PLANT),
-        "x0": [0.0, 0.0, 0.6, 0.0],
-        "target": [0.5],
-        "action_grid": {"min": -10.0, "max": 10.0, "step": 1.0},
-        "kernel": {"signal_variance": 0.5, "length_scale": 20.0, "jitter": 1e-9},
-        "noise_variance": 0.01,
-        "weights": {"w1": 1.0, "w2_start": 20.0, "w2_end": 20.0, "schedule_steps": 0},
-        "steps": 100,
-        "seed": 0,
-        "selection": "dual",
-        "initial_data": None,
-    },
+    "cart_dual": _CART_DUAL,
     "cart_benchmark": {
+        **_CART_DUAL,
         "scenario": "cart_benchmark",
-        "plant": dict(_CART_PLANT),
-        "x0": [0.0, 0.0, 0.6, 0.0],
-        "target": [0.5],
-        "action_grid": {"min": -10.0, "max": 10.0, "step": 1.0},
-        "kernel": {"signal_variance": 0.5, "length_scale": 20.0, "jitter": 1e-9},
         "noise_variance": 0.0,
-        "weights": {"w1": 1.0, "w2_start": 20.0, "w2_end": 20.0, "schedule_steps": 0},
-        "steps": 100,
-        "seed": 0,
         "selection": "benchmark",
-        "initial_data": None,
     },
 }
 
@@ -94,12 +78,7 @@ _DEFAULTS = {
 # lower bound of each bounded numeric field: (minimum, exclusive)
 _BOUNDS = {
     "plant.r_param": (0.0, True),
-    "plant.timestep": (0.0, True),
-    "plant.friction": (0.0, True),
-    "plant.cart_mass": (0.0, True),
-    "plant.arm_length": (0.0, True),
-    "plant.gravity": (0.0, True),
-    "plant.pendulum_mass": (0.0, True),
+    **{f"plant.{f.name}": (0.0, True) for f in fields(CartParams)},
     "action_grid.step": (0.0, True),
     "kernel.signal_variance": (0.0, True),
     "kernel.length_scale": (0.0, True),
@@ -245,9 +224,11 @@ def resolve_config(raw: dict) -> dict:
         raise ConfigError("scenario", "required")
     cfg = _merge(scenario_defaults(raw["scenario"]), raw, "")
     plant, grid, w = cfg["plant"], cfg["action_grid"], cfg["weights"]
-    if plant.get("coupling") == "cosine" and plant["r_param"] != 3.8:
+    cosine_r = LogisticPlant.COSINE_R
+    if plant.get("coupling") == "cosine" and plant["r_param"] != cosine_r:
         raise ConfigError(
-            "plant.r_param", f"the cosine-coupled map is calibrated for r=3.8, got {plant['r_param']}"
+            "plant.r_param",
+            f"the cosine-coupled map is calibrated for r={cosine_r}, got {plant['r_param']}",
         )
     if not grid["max"] > grid["min"]:
         raise ConfigError("action_grid.max", f"must exceed min={grid['min']}, got {grid['max']}")

@@ -226,8 +226,8 @@ class CartSideInfoModel(IoModel):
 
     def __init__(self, kernel: KernelConfig, noise_variance: float, timestep: float):
         super().__init__([GpModel.empty(kernel, noise_variance, dim=2)], obs_dim=2)
-        if not (timestep > 0):
-            raise ValueError(f"timestep must be > 0, got {timestep}")
+        if not (0 < timestep < np.inf):
+            raise ValueError(f"timestep must be finite and > 0, got {timestep}")
         self.timestep = timestep
 
     def candidate_inputs(self, y, actions):
@@ -278,17 +278,22 @@ class StepRecord:
     estimation_error: float
 
 
+def _finite_reference(value, what: str) -> np.ndarray:
+    r = np.atleast_1d(np.asarray(value, dtype=float))
+    if not np.all(np.isfinite(r)):
+        raise ValueError(f"{what} must be finite, got {r}")
+    return r
+
+
 def make_reference(value):
-    """Normalize a reference into a callable t -> vector.
+    """Normalize a reference into a callable t -> finite vector.
 
     Accepts a scalar or vector (held constant) or a callable returning
-    the per-step value.
+    the per-step value, which is checked at each step.
     """
     if callable(value):
-        return lambda t: np.atleast_1d(np.asarray(value(t), dtype=float))
-    const = np.atleast_1d(np.asarray(value, dtype=float))
-    if not np.all(np.isfinite(const)):
-        raise ValueError(f"reference must be finite, got {const}")
+        return lambda t: _finite_reference(value(t), f"reference at step {t}")
+    const = _finite_reference(value, "reference")
     return lambda t: const
 
 

@@ -232,8 +232,8 @@ class GpModel:
     """
 
     def __init__(self, kernel: KernelConfig, noise_variance: float, data: DataSet):
-        if not (noise_variance >= 0):
-            raise ValueError(f"noise_variance must be >= 0, got {noise_variance}")
+        if not (0 <= noise_variance < np.inf):
+            raise ValueError(f"noise_variance must be finite and >= 0, got {noise_variance}")
         self.kernel = kernel
         self.noise_variance = float(noise_variance)
         self.data = data

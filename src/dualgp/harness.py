@@ -11,7 +11,7 @@ import hashlib
 import logging
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -74,14 +74,7 @@ def build_plant(cfg: dict):
         return LogisticPlant(
             r_param=plant["r_param"], coupling=plant["coupling"], state=cfg["x0"][0]
         )
-    params = CartParams(
-        timestep=plant["timestep"],
-        friction=plant["friction"],
-        cart_mass=plant["cart_mass"],
-        arm_length=plant["arm_length"],
-        gravity=plant["gravity"],
-        pendulum_mass=plant["pendulum_mass"],
-    )
+    params = CartParams(**{f.name: plant[f.name] for f in fields(CartParams)})
     return CartPlant(state=cfg["x0"], params=params)
 
 
@@ -98,7 +91,7 @@ def build_io(cfg: dict):
     return BlackBoxModel(kernel, noise)
 
 
-def _apply_initial_data(io, cfg: dict, phi: ActionSet):
+def _apply_initial_data(io, cfg: dict, phi: ActionSet, plant):
     block = cfg["initial_data"]
     if block is None:
         return
@@ -110,12 +103,10 @@ def _apply_initial_data(io, cfg: dict, phi: ActionSet):
         return
     # random prior measurements of the true map, drawn from the run seed
     rng = np.random.default_rng(cfg["seed"])
-    plant = cfg["plant"]
     ys = rng.uniform(block["low"], block["high"], size=block["count"])
     us = rng.choice(phi.actions[:, 0], size=block["count"])
     for y, u in zip(ys, us):
-        y_next = LogisticPlant.transition(y, u, plant["r_param"], plant["coupling"])
-        io.update([y], [u], [y_next])
+        io.update([y], [u], [plant.simulate(y, u)])
     log.debug("seeded %d random prior transitions", block["count"])
 
 
@@ -170,7 +161,7 @@ def run_scenario(cfg: dict) -> EpisodeResult:
     plant = build_plant(cfg)
     io = build_io(cfg)
     try:
-        _apply_initial_data(io, cfg, phi)
+        _apply_initial_data(io, cfg, phi, plant)
     except FactorizationError as exc:
         raise ConfigError("initial_data", str(exc)) from exc
     aborted = None

@@ -2,11 +2,12 @@
 
 Two benchmark systems: a logistic map with either an additive or a
 cosine control coupling, and a cart balancing an inverted pendulum.
-Each plant is a single-owner state machine advanced by step(); the
-underlying transition functions are exposed as pure statics so planners
-and tests can roll out hypothetical futures without touching the plant.
-Observations go through a separate seeded channel that can add Gaussian
-noise; observing never mutates the plant.
+Each plant is a single-owner state machine advanced by step(). Its
+simulate(state, u) is its only one-step map: step() applies it to the
+plant's own state, and planners, slices and random prior data apply it
+to any state without touching the plant. Observations go through a
+separate seeded channel that can add Gaussian noise; observing never
+mutates the plant.
 """
 
 from dataclasses import dataclass, fields
@@ -44,6 +45,8 @@ class LogisticPlant:
 
     def __init__(self, r_param: float = 3.5, coupling: str = "additive",
                  state: float = 0.1):
+        if not (0 < r_param < np.inf):
+            raise ValueError(f"r_param must be finite and > 0, got {r_param}")
         if coupling not in ("additive", "cosine"):
             raise ValueError(f"unknown coupling {coupling!r}")
         if coupling == "cosine" and r_param != self.COSINE_R:
@@ -54,29 +57,24 @@ class LogisticPlant:
         self.coupling = coupling
         self.state = float(_require_finite(state, "initial state"))
 
-    @staticmethod
-    def transition(state: float, u: float, r_param: float, coupling: str) -> float:
-        """Pure one-step map; does not touch any plant instance."""
-        base = r_param * state * (1.0 - state)
-        if coupling == "additive":
-            return base + u
-        return base + np.cos(u)
-
-    def step(self, u: float) -> float:
-        new = self.transition(self.state, float(u), self.r_param, self.coupling)
-        self.state = float(_require_finite(new, "logistic state"))
-        return self.state
-
     def simulate(self, state, u: float) -> float:
         """One transition from an arbitrary state; the plant is untouched."""
-        return self.transition(float(state), float(u), self.r_param, self.coupling)
+        state = float(state)
+        base = self.r_param * state * (1.0 - state)
+        if self.coupling == "additive":
+            return base + float(u)
+        return base + np.cos(float(u))
+
+    def step(self, u: float) -> float:
+        self.state = float(_require_finite(self.simulate(self.state, u), "logistic state"))
+        return self.state
 
     def output_of(self, state) -> np.ndarray:
         return np.atleast_1d(np.asarray(state, dtype=float))[:1].copy()
 
     def output(self) -> np.ndarray:
         """Noise-free observable, shape (1,)."""
-        return np.array([self.state])
+        return self.output_of(self.state)
 
 
 @dataclass(frozen=True)
@@ -112,10 +110,11 @@ class CartPlant:
         self.state = state.copy()
         self.params = params
 
-    @staticmethod
-    def transition(state, u: float, params: CartParams) -> np.ndarray:
-        """Pure one-step dynamics; every right-hand side reads the old state."""
+    def simulate(self, state, u: float) -> np.ndarray:
+        """One transition from an arbitrary state; every right-hand side reads the old state."""
         x1, x2, x3, x4 = np.asarray(state, dtype=float).reshape(4)
+        u = float(u)
+        params = self.params
         T = params.timestep
         b = params.friction
         Mc = params.cart_mass
@@ -138,20 +137,15 @@ class CartPlant:
             return np.array([new1, new2, new3, new4])
 
     def step(self, u: float) -> np.ndarray:
-        new = self.transition(self.state, float(u), self.params)
-        self.state = _require_finite(new, "cart state")
+        self.state = _require_finite(self.simulate(self.state, u), "cart state")
         return self.state.copy()
-
-    def simulate(self, state, u: float) -> np.ndarray:
-        """One transition from an arbitrary state; the plant is untouched."""
-        return self.transition(state, float(u), self.params)
 
     def output_of(self, state) -> np.ndarray:
         return np.asarray(state, dtype=float).reshape(-1)[:2].copy()
 
     def output(self) -> np.ndarray:
         """Noise-free observable [position, velocity], shape (2,)."""
-        return self.state[:2].copy()
+        return self.output_of(self.state)
 
 
 class ObservationChannel:
@@ -162,8 +156,8 @@ class ObservationChannel:
     """
 
     def __init__(self, noise_variance: float = 0.0, seed=None):
-        if not (noise_variance >= 0):
-            raise ValueError(f"noise_variance must be >= 0, got {noise_variance}")
+        if not (0 <= noise_variance < np.inf):
+            raise ValueError(f"noise_variance must be finite and >= 0, got {noise_variance}")
         self.noise_variance = float(noise_variance)
         self._rng = np.random.default_rng(seed)
 

@@ -283,7 +283,7 @@ def test_criterion_8_cart_dynamics_oracle():
     for _ in range(100):
         state = rng.uniform([-1, -2, -np.pi, -3], [1, 2, np.pi, 3])
         u = float(rng.uniform(-10, 10))
-        got = CartPlant.transition(state, u, CartPlant().params)
+        got = CartPlant().simulate(state, u)
         want = cart_oracle(state, u)
         worst = max(worst, float(np.max(np.abs(np.asarray(got) - np.asarray(want)))))
 

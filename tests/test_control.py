@@ -206,6 +206,11 @@ class TestPredictions:
         np.testing.assert_allclose(data.inputs[0], [0.4, 3.0])
         np.testing.assert_allclose(data.targets, [0.55])
 
+    @pytest.mark.parametrize("timestep", [0.0, np.inf, np.nan])
+    def test_cart_timestep_must_be_finite_and_positive(self, timestep):
+        with pytest.raises(ValueError, match="^timestep must be finite and > 0"):
+            CartSideInfoModel(KERN, noise_variance=0.0, timestep=timestep)
+
     @pytest.mark.parametrize(
         "io,obs_dim,act_dim",
         [
@@ -337,6 +342,12 @@ class TestMakeReference:
         with pytest.raises(ValueError):
             make_reference(np.nan)
 
+    def test_callable_checked_at_each_step(self):
+        r = make_reference(lambda t: np.inf if t == 2 else 0.5)
+        np.testing.assert_allclose(r(1), [0.5])
+        with pytest.raises(ValueError, match=r"^reference at step 2 must be finite, got \[inf\]"):
+            r(2)
+
 
 class TestRunEpisode:
     def _logistic_setup(self, r_param=3.5):
@@ -345,6 +356,12 @@ class TestRunEpisode:
         plant = LogisticPlant(r_param=r_param, coupling="additive", state=0.1)
         phi = ActionSet.from_grid(-1.0, 1.0, 0.02)
         return plant, io, phi
+
+    def test_nonfinite_callable_reference_stops_the_episode(self):
+        # a NaN reference scored every action NaN, so each step took index 0
+        plant, io, phi = self._logistic_setup()
+        with pytest.raises(ValueError, match=r"^reference at step 0 must be finite, got \[nan\]"):
+            run_episode(plant, io, phi, lambda t: np.nan, Weights(1, 1, 1, 0), steps=5)
 
     def test_single_step_bookkeeping(self):
         plant, io, phi = self._logistic_setup()
@@ -536,8 +553,9 @@ class TestBenchmark:
 
         plant.simulate = simulate
         phi = ActionSet.from_grid(-10.0, 10.0, 1.0)
-        run_benchmark_episode(plant, _cart_io(), phi, 0.5, steps=3)
-        assert calls == list(phi.actions[:, 0]) * 3
+        records = run_benchmark_episode(plant, _cart_io(), phi, 0.5, steps=3)
+        # each step scores all 21 actions, then step() applies the chosen one
+        assert calls == [u for r in records for u in [*phi.actions[:, 0], r.action[0]]]
 
     def test_tracked_quantity_comes_from_the_structure(self):
         class Mirrored(AdditiveControlModel):
@@ -561,7 +579,7 @@ class TestBenchmark:
         T = plant.params.timestep
         two_step = [
             abs(s[0] + T * s[1] - 0.5)
-            for s in (CartPlant.transition(before, u, plant.params) for u in phi.actions[:, 0])
+            for s in (plant.simulate(before, u) for u in phi.actions[:, 0])
         ]
         assert rec.action[0] == phi.actions[int(np.argmin(two_step)), 0]
         assert rec.objective_value == min(two_step)

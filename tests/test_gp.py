@@ -231,6 +231,13 @@ class TestPosterior:
         assert p.mean == 0.0
         assert p.variance == pytest.approx(0.6, abs=1e-15)
 
+    @pytest.mark.parametrize("noise", [-0.1, np.inf, np.nan])
+    def test_noise_variance_must_be_finite_and_non_negative(self, noise):
+        # the config's bound on noise_variance; an infinite one made the
+        # prior variance inf and the first append unfactorizable
+        with pytest.raises(ValueError, match="^noise_variance must be finite and >= 0"):
+            GpModel.empty(KernelConfig(), noise, 1)
+
     def test_single_point_closed_form(self):
         # a=1, sigma=0.1, jitter=0: C=[[1.1]], query at the training input
         kern = KernelConfig(signal_variance=1.0, length_scale=1.0, jitter=0.0)

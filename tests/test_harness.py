@@ -13,6 +13,7 @@ from dualgp.cli import main
 from dualgp.config import ConfigError, resolve_config
 from dualgp.harness import (
     build_action_set,
+    build_plant,
     compute_slice,
     run_scenario,
     run_sweep,
@@ -21,6 +22,7 @@ from dualgp.harness import (
     write_slice_csv,
     write_trace_csv,
 )
+from dualgp.plants import CartParams
 
 
 # benchmark mode with actions so large the cart's state overflows at step 1
@@ -47,6 +49,16 @@ class TestActionGrids:
         assert len(build_action_set(cfg_for("logistic_linear"))) == 101
         assert len(build_action_set(cfg_for("logistic_nonlinear"))) == 32
         assert len(build_action_set(cfg_for("cart_dual"))) == 21
+
+
+class TestBuildPlant:
+    def test_every_cart_constant_reaches_the_plant(self):
+        constants = {
+            "timestep": 0.02, "friction": 10.5, "cart_mass": 2.25,
+            "arm_length": 0.4, "gravity": 9.81, "pendulum_mass": 0.125,
+        }
+        plant = build_plant(cfg_for("cart_dual", plant=constants))
+        assert plant.params == CartParams(**constants)
 
 
 class TestRunScenario:
@@ -119,6 +131,13 @@ class TestRunScenario:
         b = run_scenario(cfg)
         assert len(a.io.gps[0].data) == 11  # 10 seeded + 1 step
         assert a.training_hash == b.training_hash
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_random_initial_data_is_the_true_map(self, seed):
+        data = run_scenario(cfg_for("logistic_nonlinear", steps=1, seed=seed)).io.gps[0].data
+        # black-box rows are (y, u); the first 10 are the seeded draws
+        want = [3.8 * y * (1 - y) + np.cos(u) for y, u in data.inputs[:10]]
+        assert np.array_equal(data.targets[:10], want)
 
     def test_random_initial_data_varies_with_seed(self):
         a = run_scenario(cfg_for("logistic_nonlinear", steps=1, seed=0))

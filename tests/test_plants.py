@@ -57,6 +57,12 @@ class TestLogisticPlant:
         with pytest.raises(ValueError):
             LogisticPlant(r_param=3.5, coupling="cosine")
 
+    @pytest.mark.parametrize("r_param", [np.nan, np.inf, -2.0, 0.0])
+    def test_r_param_must_be_finite_and_positive(self, r_param):
+        # the config's bound on plant.r_param; NaN or inf diverged at step 0
+        with pytest.raises(ValueError, match="^r_param must be finite and > 0"):
+            LogisticPlant(r_param=r_param)
+
     def test_unknown_coupling_rejected(self):
         with pytest.raises(ValueError):
             LogisticPlant(coupling="quadratic")
@@ -125,7 +131,7 @@ class TestCartPlant:
         for _ in range(100):
             state = rng.uniform([-1, -3, -np.pi, -3], [1, 3, np.pi, 3])
             u = float(rng.uniform(-10, 10))
-            got = CartPlant.transition(state, u, CartParams())
+            got = CartPlant().simulate(state, u)
             want = cart_oracle(state, u)
             assert got == pytest.approx(want, abs=1e-12)
 
@@ -189,3 +195,8 @@ class TestObservationChannel:
     def test_negative_variance_rejected(self):
         with pytest.raises(ValueError):
             ObservationChannel(noise_variance=-0.01)
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_variance_must_be_finite(self, value):
+        with pytest.raises(ValueError, match="^noise_variance must be finite and >= 0"):
+            ObservationChannel(noise_variance=value)
