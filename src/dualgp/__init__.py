@@ -10,7 +10,6 @@ from .control import (
     StepRecord,
     Weights,
     make_reference,
-    objective,
     run_benchmark_episode,
     run_episode,
     select_action,
@@ -20,14 +19,11 @@ from .gp import (
     FactorizationError,
     GpModel,
     KernelConfig,
-    Posterior,
-    gaussian_entropy,
 )
 from .harness import EpisodeResult, compute_slice, run_scenario, run_sweep, training_set_hash
 from .info import (
     CandidateSet,
     SelectionResult,
-    aggregate_log_det,
     info_score,
     sample_candidates,
     select_exhaustive,
@@ -53,18 +49,14 @@ __all__ = [
     "LogisticPlant",
     "ObservationChannel",
     "PlantDiverged",
-    "Posterior",
     "SCENARIOS",
     "SelectionResult",
     "StepRecord",
     "Weights",
-    "aggregate_log_det",
     "compute_slice",
-    "gaussian_entropy",
     "info_score",
     "load_config",
     "make_reference",
-    "objective",
     "resolve_config",
     "run_benchmark_episode",
     "run_episode",

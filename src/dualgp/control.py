@@ -34,7 +34,6 @@ __all__ = [
     "ActionChoice",
     "StepRecord",
     "make_reference",
-    "objective",
     "select_action",
     "run_episode",
     "run_benchmark_episode",
@@ -98,10 +97,6 @@ class Weights:
         if self.w1 + min(self.w2_start, self.w2_end) <= 0:
             raise ValueError("w1 + w2(t) must stay positive for all t")
 
-    @classmethod
-    def constant(cls, w1: float, w2: float) -> "Weights":
-        return cls(w1=w1, w2_start=w2, w2_end=w2, schedule_steps=0)
-
     def w2_at(self, t: int) -> float:
         if self.schedule_steps <= 0 or t >= self.schedule_steps:
             return self.w2_end
@@ -151,12 +146,6 @@ class IoModel:
             raw_means.append(m)
             raw_vars.append(v)
         return self.assemble(y, actions, np.array(raw_means), np.array(raw_vars))
-
-    def predict(self, y, u):
-        """Single-action version of predict_batch, shapes (obs_dim,)."""
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        means, variances = self.predict_batch(y, u[None, :])
-        return means[0], variances[0]
 
     def update(self, y, u, y_next):
         """Absorb one observed transition into every per-output GP."""
@@ -310,13 +299,6 @@ def _score(io: IoModel, y, actions, r, w1: float, w2: float):
         track_err = np.linalg.norm(tracked - r[None, :], axis=1)
     scores = w1 * track_err - w2 * np.sum(variances, axis=1)
     return scores, means, variances
-
-
-def objective(io: IoModel, y, u, r, w1: float, w2: float) -> float:
-    """Planning score of one action: w1 * ||prediction - r|| - w2 * total variance."""
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    scores, _, _ = _score(io, y, u[None, :], r, w1, w2)
-    return float(scores[0])
 
 
 def select_action(io: IoModel, y, r, phi: ActionSet, w1: float, w2: float) -> ActionChoice:

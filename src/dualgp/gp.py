@@ -23,12 +23,9 @@ __all__ = [
     "FactorizationError",
     "KernelConfig",
     "DataSet",
-    "Posterior",
     "GpModel",
-    "gaussian_entropy",
 ]
 
-LOG_2PI = float(np.log(2.0 * np.pi))
 # below this separation two points count as duplicates
 DUPLICATE_TOL = 1e-12
 
@@ -140,12 +137,6 @@ class KernelConfig:
         if not (0 <= self.jitter < np.inf):
             raise ValueError(f"jitter must be finite and >= 0, got {self.jitter}")
 
-    def value(self, x, x2) -> float:
-        """Kernel between two points; symmetric, in (0, signal_variance]."""
-        p = _as_point(x)
-        q = _as_point(x2, dim=p.shape[1])
-        return float(self.cross(p, q)[0, 0])
-
     def cross(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Kernel matrix between two point sets, shape (len(rows), len(cols))."""
         return self._from_sq_dist(_sq_dist(np.atleast_2d(rows), np.atleast_2d(cols)))
@@ -193,14 +184,6 @@ class DataSet:
         data = DataSet.__new__(DataSet)
         data._freeze(np.vstack([self.inputs, point]), np.append(self.targets, target))
         return data
-
-
-@dataclass(frozen=True)
-class Posterior:
-    """Predictive mean and (non-negative) variance at a single query point."""
-
-    mean: float
-    variance: float
 
 
 def _singular_error(inputs):
@@ -341,13 +324,11 @@ class GpModel:
         One row repeated (an action grid under additive control) is solved
         against the factor once, and its variance goes to every copy; the
         mean is still taken per row. Any other rows are solved as given.
+        A 1-D argument is one point.
         Variances are clamped to [0, prior_variance]; conditioning on data
         can only shrink them, so anything outside is round-off.
         """
-        return self._posterior_rows(_as_rows(np.atleast_2d(points), self.dim, "query points"))
-
-    def _posterior_rows(self, points):
-        """posterior_batch for points already checked to be a finite (n, d) array."""
+        points = _as_rows(np.atleast_2d(points), self.dim, "query points")
         kappa, n = self.prior_variance, points.shape[0]
         if len(self.data) == 0 or n == 0:
             return np.zeros(n), np.full(n, kappa)
@@ -361,11 +342,6 @@ class GpModel:
             self._solved = (points[0].tobytes(), w[:, 0])
             variances = np.repeat(variances, n)
         return means, np.clip(variances, 0.0, kappa)
-
-    def posterior(self, x) -> Posterior:
-        """Predictive distribution at one point."""
-        means, variances = self._posterior_rows(_as_point(x, dim=self.dim))
-        return Posterior(mean=float(means[0]), variance=float(variances[0]))
 
     def schur_complement(self, points) -> np.ndarray:
         """Covariance of noisy observations at the points given the training data.
@@ -405,15 +381,3 @@ class GpModel:
                 "with no noise or jitter on the diagonal"
             ) from None
         return self.log_det() + float(2.0 * np.sum(np.log(np.diag(chol_block))))
-
-
-def gaussian_entropy(dim: int, log_det_cov: float) -> float:
-    """Differential entropy of a dim-variate Gaussian with the given ln det.
-
-    H = dim/2 + (dim/2) ln(2 pi) + ln_det / 2, in nats.
-    """
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
-    if not np.isfinite(log_det_cov):
-        raise ValueError(f"log_det_cov must be finite, got {log_det_cov}")
-    return 0.5 * dim * (1.0 + LOG_2PI) + 0.5 * float(log_det_cov)

@@ -249,8 +249,9 @@ def compute_slice(cfg: dict, at_u: float, coord: int, lo: float, hi: float, n: i
         state[coord] = x
         state = state[0] if cfg["plant"]["kind"] == "logistic" else state
         true_next = plant.output_of(plant.simulate(state, at_u))[coord]
-        mean, var = result.io.predict(plant.output_of(state), at_u)
-        rows.append((float(x), float(true_next), float(mean[coord]), float(np.sqrt(var[coord]))))
+        means, variances = result.io.predict_batch(plant.output_of(state), np.array([[at_u]]))
+        mean, var = means[0, coord], variances[0, coord]
+        rows.append((float(x), float(true_next), float(mean), float(np.sqrt(var))))
     return result, rows
 
 

@@ -6,20 +6,25 @@ of the doubly bordered covariance over the whole set; working in log
 space keeps the products of determinants from underflowing while leaving
 the argmin unchanged. The greedy one simply takes the candidate with the
 largest posterior variance.
+
+The paper measures information by entropy. A d-variate Gaussian with
+covariance Sigma has entropy H = d/2 (1 + ln 2 pi) + 1/2 ln det Sigma
+nats. Every bordered covariance in one selection has the same size, so
+the first term is a constant and minimizing the summed bordered log-det
+minimizes the summed entropy.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gp import DUPLICATE_TOL, FactorizationError, GpModel, _as_rows, _sq_dist
+from .gp import DUPLICATE_TOL, FactorizationError, GpModel, _as_point, _as_rows, _sq_dist
 
 __all__ = [
     "CandidateSet",
     "SelectionResult",
     "sample_candidates",
     "info_score",
-    "aggregate_log_det",
     "select_exhaustive",
     "select_max_variance",
 ]
@@ -31,10 +36,6 @@ class CandidateSet:
     def __init__(self, points, dim=None):
         self.points = _as_rows(points, dim, "candidate points")
         self.points.setflags(write=False)
-
-    @classmethod
-    def empty(cls, dim: int) -> "CandidateSet":
-        return cls(np.zeros((0, dim)), dim=dim)
 
     @property
     def dim(self) -> int:
@@ -103,23 +104,10 @@ def info_score(model: GpModel, candidates: CandidateSet, probe) -> float:
     the set.
     """
     _require_scoreable(model, candidates)
-    probe = np.asarray(probe, dtype=float).reshape(-1)
-    schur = model.schur_complement(np.vstack([candidates.points, probe]))
+    schur = model.schur_complement(np.vstack([candidates.points, _as_point(probe, model.dim)]))
     s = np.diag(schur)[:-1]
     logs = _log_dets(s * schur[-1, -1] - schur[:-1, -1] ** 2, s)
     return len(candidates) * model.log_det() + float(np.sum(logs))
-
-
-def aggregate_log_det(model: GpModel, candidates: CandidateSet) -> float:
-    """Summed log-det of the covariance bordered by each candidate alone.
-
-    A scalar proxy for how uncertain the model still is across the set;
-    absorbing a new observation never increases it as long as the prior
-    predictive variance stays below one.
-    """
-    _require_scoreable(model, candidates)
-    s = np.diag(model.schur_complement(candidates.points))
-    return len(candidates) * model.log_det() + float(np.sum(_log_dets(s, s)))
 
 
 def select_exhaustive(model: GpModel, candidates: CandidateSet) -> SelectionResult:

@@ -11,7 +11,6 @@ from dualgp.control import (
     EpisodeAborted,
     Weights,
     make_reference,
-    objective,
     run_benchmark_episode,
     run_episode,
     select_action,
@@ -131,7 +130,7 @@ class TestWeights:
         assert w.w2_at(0) == 3.0
 
     def test_constant_helper(self):
-        w = Weights.constant(2.0, 3.0)
+        w = Weights(2.0, 3.0, 3.0)
         assert (w.w2_at(0), w.w2_at(10**6)) == (3.0, 3.0)
 
     def test_validation(self):
@@ -160,28 +159,28 @@ class TestWeights:
 class TestPredictions:
     def test_additive_empty_model(self):
         io = AdditiveControlModel(KERN, noise_variance=0.1)
-        mean, var = io.predict(np.array([0.5]), 0.6)
-        assert mean[0] == pytest.approx(0.6)
-        assert var[0] == pytest.approx(1.1)
+        means, variances = io.predict_batch(np.array([0.5]), np.array([[0.6]]))
+        assert means[0, 0] == pytest.approx(0.6)
+        assert variances[0, 0] == pytest.approx(1.1)
 
     def test_additive_learns_drift_not_action(self):
         io = AdditiveControlModel(KERN, noise_variance=0.0)
         io.update(np.array([0.2]), np.array([0.7]), np.array([1.0]))
         # stored target is y' - u = 0.3; at zero jitter-scale noise the
         # interpolant passes through it, any action just shifts the mean
-        mean_a, var_a = io.predict(np.array([0.2]), 0.0)
-        mean_b, var_b = io.predict(np.array([0.2]), 5.0)
-        assert mean_a[0] == pytest.approx(0.3, abs=1e-7)
-        assert mean_b[0] == pytest.approx(5.3, abs=1e-7)
-        assert var_a[0] == pytest.approx(var_b[0], abs=1e-15)
+        mean_a, var_a = io.predict_batch(np.array([0.2]), np.array([[0.0]]))
+        mean_b, var_b = io.predict_batch(np.array([0.2]), np.array([[5.0]]))
+        assert mean_a[0, 0] == pytest.approx(0.3, abs=1e-7)
+        assert mean_b[0, 0] == pytest.approx(5.3, abs=1e-7)
+        assert var_a[0, 0] == pytest.approx(var_b[0, 0], abs=1e-15)
 
     def test_black_box_self_query(self):
         io = BlackBoxModel(KERN, noise_variance=0.1)
         io.update(np.array([0.5]), np.array([0.2]), np.array([0.9]))
-        mean, var = io.predict(np.array([0.5]), 0.2)
+        means, variances = io.predict_batch(np.array([0.5]), np.array([[0.2]]))
         # 1e-9 diagonal jitter shifts the exact 0.9/1.1 value at ~1e-9 scale
-        assert mean[0] == pytest.approx(BB_MEAN_SELF, abs=1e-8)
-        assert var[0] == pytest.approx(BB_VAR_SELF, abs=1e-8)
+        assert means[0, 0] == pytest.approx(BB_MEAN_SELF, abs=1e-8)
+        assert variances[0, 0] == pytest.approx(BB_VAR_SELF, abs=1e-8)
 
     def test_cart_position_channel_is_exact(self):
         io = CartSideInfoModel(KERN, noise_variance=0.0, timestep=0.05)
@@ -237,13 +236,13 @@ class TestObjective:
             KernelConfig(signal_variance=0.04, length_scale=1.0, jitter=1e-9),
             noise_variance=0.01,
         )
-        val = objective(io, np.array([0.3]), 0.6, 0.8, w1=1.0, w2=1.0)
-        assert val == pytest.approx(0.15, abs=1e-12)
+        choice = select_action(io, np.array([0.3]), 0.8, ActionSet([0.6]), w1=1.0, w2=1.0)
+        assert choice.objective_value == pytest.approx(0.15, abs=1e-12)
 
     def test_reference_dim_checked(self):
         io = AdditiveControlModel(KERN, noise_variance=0.1)
         with pytest.raises(ValueError):
-            objective(io, np.array([0.0]), 0.5, np.array([0.1, 0.2]), 1.0, 1.0)
+            select_action(io, np.array([0.0]), np.array([0.1, 0.2]), ActionSet([0.5]), 1.0, 1.0)
 
 
 class TestSelectAction:
@@ -298,7 +297,8 @@ class TestSelectAction:
             w1, w2 = rng.uniform(0.1, 2, 2)
             phi = ActionSet(rng.uniform(-1, 1, 7))
             choice = select_action(io, y, r, phi, w1, w2)
-            scores = [objective(io, y, u, r, w1, w2) for u in phi.actions[:, 0]]
+            scores = [select_action(io, y, r, ActionSet([u]), w1, w2).objective_value
+                      for u in phi.actions[:, 0]]
             assert choice.index == int(np.argmin(scores))
             assert choice.objective_value == pytest.approx(min(scores), abs=1e-12)
 
@@ -365,7 +365,7 @@ class TestRunEpisode:
 
     def test_single_step_bookkeeping(self):
         plant, io, phi = self._logistic_setup()
-        records = run_episode(plant, io, phi, 0.8, Weights.constant(1, 1), steps=1)
+        records = run_episode(plant, io, phi, 0.8, Weights(1, 1, 1), steps=1)
         assert len(records) == 1
         rec = records[0]
         assert rec.step == 0
@@ -375,7 +375,7 @@ class TestRunEpisode:
 
     def test_dataset_grows_per_step(self):
         plant, io, phi = self._logistic_setup()
-        run_episode(plant, io, phi, 0.8, Weights.constant(1, 1), steps=17)
+        run_episode(plant, io, phi, 0.8, Weights(1, 1, 1), steps=17)
         assert len(io.gps[0].data) == 17
 
     def test_noise_free_runs_are_reproducible(self):
@@ -383,7 +383,7 @@ class TestRunEpisode:
         for _ in range(2):
             plant, io, phi = self._logistic_setup()
             recs.append(
-                run_episode(plant, io, phi, 0.8, Weights.constant(1, 1), steps=25)
+                run_episode(plant, io, phi, 0.8, Weights(1, 1, 1), steps=25)
             )
         for a, b in zip(*recs):
             assert a.action[0] == b.action[0]
@@ -393,7 +393,7 @@ class TestRunEpisode:
         def go(seed):
             plant, io, phi = self._logistic_setup()
             return run_episode(
-                plant, io, phi, 0.8, Weights.constant(1, 1),
+                plant, io, phi, 0.8, Weights(1, 1, 1),
                 steps=15, seed=seed, noise_variance=1e-4,
             )
 
@@ -403,13 +403,13 @@ class TestRunEpisode:
 
     def test_logistic_tracking_converges(self):
         plant, io, phi = self._logistic_setup(r_param=3.5)
-        records = run_episode(plant, io, phi, 0.8, Weights.constant(1, 1), steps=100)
+        records = run_episode(plant, io, phi, 0.8, Weights(1, 1, 1), steps=100)
         late = [r.tracking_error for r in records if r.step >= 30]
         assert max(late) < 0.05
 
     def test_estimation_error_shrinks(self):
         plant, io, phi = self._logistic_setup(r_param=3.5)
-        records = run_episode(plant, io, phi, 0.8, Weights.constant(1, 1), steps=100)
+        records = run_episode(plant, io, phi, 0.8, Weights(1, 1, 1), steps=100)
         errs = [r.estimation_error for r in records]
         assert np.mean(errs[-10:]) < 0.1 * np.mean(errs[:10])
 
@@ -419,7 +419,7 @@ class TestRunEpisode:
         plant = LogisticPlant(r_param=3.8, coupling="additive", state=5.0)
         phi = ActionSet.from_grid(-1.0, 1.0, 0.02)
         with pytest.raises(EpisodeAborted, match=r"step \d+:") as info:
-            run_episode(plant, io, phi, 0.8, Weights.constant(1, 1), steps=100)
+            run_episode(plant, io, phi, 0.8, Weights(1, 1, 1), steps=100)
         assert isinstance(info.value.__cause__, PlantDiverged)
 
     def test_repeated_input_reports_step(self):
@@ -431,14 +431,14 @@ class TestRunEpisode:
         with pytest.raises(EpisodeAborted, match=r"step \d+:.*duplicate") as info:
             run_episode(
                 _FrozenPlant(), io, ActionSet.from_grid(-1, 1, 0.5),
-                0.8, Weights.constant(1, 1), steps=5,
+                0.8, Weights(1, 1, 1), steps=5,
             )
         assert isinstance(info.value.__cause__, FactorizationError)
 
     def test_steps_validated(self):
         plant, io, phi = self._logistic_setup()
         with pytest.raises(ValueError):
-            run_episode(plant, io, phi, 0.8, Weights.constant(1, 1), steps=0)
+            run_episode(plant, io, phi, 0.8, Weights(1, 1, 1), steps=0)
 
 
 class TestEpisodeAborted:
@@ -451,7 +451,7 @@ class TestEpisodeAborted:
         with pytest.raises(EpisodeAborted, match=rf"^step {k}: stub state") as info:
             if loop == "learning":
                 io = AdditiveControlModel(KERN, noise_variance=0.01)
-                run_episode(plant, io, phi, 0.5, Weights.constant(1, 1), steps=10)
+                run_episode(plant, io, phi, 0.5, Weights(1, 1, 1), steps=10)
             else:
                 run_benchmark_episode(plant, _scalar_io(), phi, 0.5, steps=10)
         assert info.value.step == k
@@ -466,7 +466,7 @@ class TestEpisodeAborted:
         with pytest.raises(EpisodeAborted) as info:
             run_episode(
                 _FrozenPlant(), io, ActionSet.from_grid(-1, 1, 0.5),
-                0.8, Weights.constant(1, 1), steps=5,
+                0.8, Weights(1, 1, 1), steps=5,
             )
         assert info.value.step == 1
         assert [r.step for r in info.value.records] == [0, 1]
@@ -480,7 +480,7 @@ class TestCartEpisode:
         plant = CartPlant(state=[0.0, 0.0, 0.6, 0.0])
         phi = ActionSet.from_grid(-10.0, 10.0, 1.0)
         records = run_episode(
-            plant, io, phi, 0.5, Weights.constant(1.0, 20.0),
+            plant, io, phi, 0.5, Weights(1.0, 20.0, 20.0),
             steps=40, seed=0, noise_variance=0.01,
         )
         hits = [r.step for r in records if abs(r.observation[0] - 0.5) <= 0.05]
@@ -492,7 +492,7 @@ class TestCartEpisode:
         plant = CartPlant(state=[0.0, 0.0, 0.6, 0.0])
         phi = ActionSet.from_grid(-10.0, 10.0, 1.0)
         records = run_episode(
-            plant, io, phi, 0.5, Weights.constant(1.0, 20.0),
+            plant, io, phi, 0.5, Weights(1.0, 20.0, 20.0),
             steps=5, seed=0, noise_variance=0.01,
         )
         for rec in records:

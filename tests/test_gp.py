@@ -21,7 +21,6 @@ from dualgp.gp import (
     FactorizationError,
     GpModel,
     KernelConfig,
-    gaussian_entropy,
     solve_triangular,
 )
 from dualgp.harness import build_action_set, run_scenario
@@ -31,8 +30,6 @@ EXP_HALF = 0.6065306597126334       # exp(-0.5)
 MEAN_SELF = 0.9090909090909091      # 1 / 1.1
 VAR_SELF = 0.19090909090909103      # 1.1 - 1/1.1
 LOGDET_PAIR = -0.17183209348270312  # ln(1.21 - exp(-1))
-ENTROPY_1D = 1.4189385332046727     # 0.5 * (1 + ln 2pi)
-ENTROPY_2D = 2.8378770664093453
 
 
 def reference_posterior(kernel, noise, X, y, q):
@@ -119,26 +116,27 @@ def separated_problem(draw, max_points=120):
 class TestKernel:
     def test_value_at_zero_distance_is_signal_variance(self):
         k = KernelConfig(signal_variance=0.5, length_scale=2.0)
-        assert k.value([1.0, -3.0], [1.0, -3.0]) == pytest.approx(0.5)
+        assert k.cross([1.0, -3.0], [1.0, -3.0])[0, 0] == pytest.approx(0.5)
 
     def test_unit_kernel_at_unit_distance(self):
         k = KernelConfig(signal_variance=1.0, length_scale=1.0)
-        assert k.value([0.0], [1.0]) == pytest.approx(EXP_HALF, abs=1e-15)
+        assert k.cross([0.0], [1.0])[0, 0] == pytest.approx(EXP_HALF, abs=1e-15)
 
     def test_length_scale_rescales_distance(self):
         k = KernelConfig(signal_variance=1.0, length_scale=2.0)
-        assert k.value([0.0], [2.0]) == pytest.approx(EXP_HALF, abs=1e-15)
+        assert k.cross([0.0], [2.0])[0, 0] == pytest.approx(EXP_HALF, abs=1e-15)
 
     def test_symmetry_and_bounds(self):
         k = KernelConfig(signal_variance=0.7, length_scale=0.9)
         rng = np.random.default_rng(3)
         for _ in range(50):
             p, q = rng.normal(size=(2, 3))
-            assert k.value(p, q) == pytest.approx(k.value(q, p), abs=1e-15)
-            assert 0.0 < k.value(p, q) <= 0.7 + 1e-15
+            assert k.cross(p, q)[0, 0] == pytest.approx(k.cross(q, p)[0, 0], abs=1e-15)
+            assert 0.0 < k.cross(p, q)[0, 0] <= 0.7 + 1e-15
 
     def test_cross_matches_scalar(self):
-        k = KernelConfig(signal_variance=0.5, length_scale=1.3)
+        a, l = 0.5, 1.3
+        k = KernelConfig(signal_variance=a, length_scale=l)
         rng = np.random.default_rng(4)
         rows = rng.normal(size=(4, 2))
         cols = rng.normal(size=(3, 2))
@@ -146,7 +144,9 @@ class TestKernel:
         assert out.shape == (4, 3)
         for i in range(4):
             for j in range(3):
-                assert out[i, j] == pytest.approx(k.value(rows[i], cols[j]), abs=1e-15)
+                # a exp(-||p - q||^2 / (2 l^2)), one pair at a time
+                closed = a * np.exp(-np.sum((rows[i] - cols[j]) ** 2) / (2 * l**2))
+                assert out[i, j] == pytest.approx(closed, abs=1e-15)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -227,9 +227,9 @@ class TestDataSet:
 class TestPosterior:
     def test_empty_model_prior(self):
         gp = GpModel.empty(KernelConfig(signal_variance=0.5), noise_variance=0.1, dim=1)
-        p = gp.posterior([3.0])
-        assert p.mean == 0.0
-        assert p.variance == pytest.approx(0.6, abs=1e-15)
+        (mean,), (variance,) = gp.posterior_batch([3.0])
+        assert mean == 0.0
+        assert variance == pytest.approx(0.6, abs=1e-15)
 
     @pytest.mark.parametrize("noise", [-0.1, np.inf, np.nan])
     def test_noise_variance_must_be_finite_and_non_negative(self, noise):
@@ -242,16 +242,16 @@ class TestPosterior:
         # a=1, sigma=0.1, jitter=0: C=[[1.1]], query at the training input
         kern = KernelConfig(signal_variance=1.0, length_scale=1.0, jitter=0.0)
         gp = GpModel(kern, 0.1, DataSet([[0.0]], [1.0]))
-        p = gp.posterior([0.0])
-        assert p.mean == pytest.approx(MEAN_SELF, abs=1e-14)
-        assert p.variance == pytest.approx(VAR_SELF, abs=1e-14)
+        (mean,), (variance,) = gp.posterior_batch([0.0])
+        assert mean == pytest.approx(MEAN_SELF, abs=1e-14)
+        assert variance == pytest.approx(VAR_SELF, abs=1e-14)
 
     def test_far_query_reverts_to_prior(self):
         kern = KernelConfig(signal_variance=1.0, length_scale=1.0, jitter=0.0)
         gp = GpModel(kern, 0.1, DataSet([[0.0]], [1.0]))
-        p = gp.posterior([40.0])
-        assert p.mean == pytest.approx(0.0, abs=1e-12)
-        assert p.variance == pytest.approx(1.1, abs=1e-12)
+        (mean,), (variance,) = gp.posterior_batch([40.0])
+        assert mean == pytest.approx(0.0, abs=1e-12)
+        assert variance == pytest.approx(1.1, abs=1e-12)
 
     def test_noise_free_model_interpolates(self):
         kern = KernelConfig(signal_variance=0.5, length_scale=1.0, jitter=1e-9)
@@ -278,10 +278,10 @@ class TestPosterior:
             y = rng.normal(size=M)
             q = rng.uniform(-2, 2, size=d)
             gp = GpModel(kern, noise, DataSet(X, y))
-            p = gp.posterior(q)
+            (mean,), (variance,) = gp.posterior_batch(q[None, :])
             mean_ref, var_ref = reference_posterior(kern, noise, X, y, q)
-            assert p.mean == pytest.approx(mean_ref, abs=1e-10)
-            assert p.variance == pytest.approx(var_ref, abs=1e-10)
+            assert mean == pytest.approx(mean_ref, abs=1e-10)
+            assert variance == pytest.approx(var_ref, abs=1e-10)
 
     def test_batch_matches_single(self):
         kern = KernelConfig(signal_variance=0.5, length_scale=0.8)
@@ -291,9 +291,9 @@ class TestPosterior:
         Q = rng.uniform(-1, 1, size=(7, 2))
         means, variances = gp.posterior_batch(Q)
         for i in range(7):
-            p = gp.posterior(Q[i])
-            assert means[i] == pytest.approx(p.mean, abs=1e-14)
-            assert variances[i] == pytest.approx(p.variance, abs=1e-14)
+            (mean,), (variance,) = gp.posterior_batch(Q[i][None, :])
+            assert means[i] == pytest.approx(mean, abs=1e-14)
+            assert variances[i] == pytest.approx(variance, abs=1e-14)
 
     def test_variance_clamped_to_prior_band(self):
         kern = KernelConfig(signal_variance=0.5, length_scale=1.0)
@@ -357,16 +357,16 @@ class TestPosterior:
     def test_dimension_mismatch_rejected(self):
         gp = GpModel.empty(KernelConfig(), 0.1, dim=2)
         with pytest.raises(ValueError, match="points have dimension 1, expected 2"):
-            gp.posterior([1.0])
+            gp.posterior_batch([1.0])
         with pytest.raises(ValueError, match="points have dimension 3, expected 2"):
-            gp.posterior([1.0, 2.0, 3.0])
-        with pytest.raises(ValueError, match="a point must be a nonempty vector"):
-            gp.posterior([[1.0, 2.0]])
+            gp.posterior_batch([1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match=r"must be an \(n, d\) array, got shape \(1, 1, 2\)"):
+            gp.posterior_batch([[[1.0, 2.0]]])
 
     def test_non_finite_query_rejected(self):
         gp = GpModel.empty(KernelConfig(), 0.1, dim=1)
         with pytest.raises(ValueError, match="points contain non-finite values"):
-            gp.posterior([np.nan])
+            gp.posterior_batch([np.nan])
 
 
 class TestSolveTriangular:
@@ -450,9 +450,10 @@ class TestIncrementalUpdate:
                 gp = gp.with_observation(x, y)
             fresh = GpModel(kern, 0.05, DataSet(pts, ys))
             q = rng.uniform(-2, 2, size=2)
-            inc, ref = gp.posterior(q), fresh.posterior(q)
-            assert inc.mean == pytest.approx(ref.mean, abs=1e-10)
-            assert inc.variance == pytest.approx(ref.variance, abs=1e-10)
+            (inc_mean,), (inc_var,) = gp.posterior_batch(q[None, :])
+            (ref_mean,), (ref_var,) = fresh.posterior_batch(q[None, :])
+            assert inc_mean == pytest.approx(ref_mean, abs=1e-10)
+            assert inc_var == pytest.approx(ref_var, abs=1e-10)
             assert gp.log_det() == pytest.approx(fresh.log_det(), abs=1e-10)
 
     @settings(derandomize=True, deadline=None, max_examples=40)
@@ -464,7 +465,7 @@ class TestIncrementalUpdate:
         gp = GpModel.empty(kern, noise, dim=X.shape[1])
         for x, t in zip(X, y):
             if query != "none":
-                gp.posterior(x if query == "appended" else probes[0])
+                gp.posterior_batch((x if query == "appended" else probes[0])[None, :])
             gp = gp.with_observation(x, t)
         fresh = GpModel(kern, noise, DataSet(X, y))
         means, variances = gp.posterior_batch(probes)
@@ -476,10 +477,10 @@ class TestIncrementalUpdate:
     def test_original_model_unchanged(self):
         kern = KernelConfig()
         gp0 = GpModel(kern, 0.1, DataSet([[0.0]], [1.0]))
-        before = gp0.posterior([0.5])
+        before = gp0.posterior_batch([0.5])
         gp1 = gp0.with_observation([0.5], -1.0)
-        after = gp0.posterior([0.5])
-        assert before == after
+        after = gp0.posterior_batch([0.5])
+        assert np.array_equal(before, after)
         assert len(gp1.data) == 2 and len(gp0.data) == 1
 
     def test_branching_appends_are_independent(self):
@@ -577,7 +578,7 @@ class TestIncrementalUpdate:
         # built at M - 1 points, so the append to M moved the factor to a roomier buffer
         gp = GpModel(kern, 0.1, DataSet(X[: M - 1], y[: M - 1]))
         gp = gp.with_observation(X[M - 1], y[M - 1])
-        gp.posterior(X[0])
+        gp.posterior_batch(X[:1])
         tracemalloc.start()
         try:
             grown = gp.with_observation(X[M], y[M])
@@ -615,7 +616,7 @@ class TestIncrementalUpdate:
         else:
             queried.posterior_batch(np.repeat(x[None, :], 101, axis=0))
         if case == "other_row":
-            queried.posterior(x0)
+            queried.posterior_batch(x0[None, :])
         if case == "child":
             # the child has its own factor: the parent's solved column is not its own
             queried = queried.with_observation(x0, t0)
@@ -769,7 +770,7 @@ class TestFactorizationError:
         x = X[i] + rng.integers(-4, 5, size=X.shape[1]) * np.spacing(X[i])
         gp = GpModel(kern, 0.0, DataSet(X, y))
         if queried:  # additive control's path: the append reuses the query's column
-            gp.posterior(x)
+            gp.posterior_batch(x[None, :])
         with pytest.raises(FactorizationError, match=rf"\({i}, {len(X)}\)"):
             gp.with_observation(x, 0.0)
 
@@ -778,7 +779,8 @@ class TestFactorizationError:
         data = DataSet([[0.5], [0.5]], [1.0, 3.0])
         gp = GpModel(kern, 0.1, data)
         # the posterior averages the two conflicting targets
-        assert gp.posterior([0.5]).mean == pytest.approx(2.0 * 2.0 / 2.1, abs=1e-12)
+        (mean,), _ = gp.posterior_batch([0.5])
+        assert mean == pytest.approx(2.0 * 2.0 / 2.1, abs=1e-12)
 
 
 def _exact_solve(matrix, rhs):
@@ -837,19 +839,3 @@ class TestEpisodeDenseCheck:
         assert np.max(np.abs(means - dense_means)) <= 1e-6
         assert np.max(np.abs(variances - dense_vars)) <= 1e-8
 
-
-class TestGaussianEntropy:
-    def test_standard_normal(self):
-        assert gaussian_entropy(1, 0.0) == pytest.approx(ENTROPY_1D, abs=1e-15)
-
-    def test_dimension_scales_additively(self):
-        assert gaussian_entropy(2, 0.0) == pytest.approx(ENTROPY_2D, abs=1e-15)
-
-    def test_log_det_enters_halved(self):
-        assert gaussian_entropy(1, 2.0) == pytest.approx(ENTROPY_1D + 1.0, abs=1e-15)
-
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            gaussian_entropy(0, 0.0)
-        with pytest.raises(ValueError):
-            gaussian_entropy(1, np.inf)

@@ -13,7 +13,6 @@ from dualgp import info as info_module
 from dualgp.gp import DataSet, FactorizationError, GpModel, KernelConfig
 from dualgp.info import (
     CandidateSet,
-    aggregate_log_det,
     info_score,
     sample_candidates,
     select_exhaustive,
@@ -109,7 +108,7 @@ class TestCandidateSet:
         assert cs1d.points.shape == (3, 1)
 
     def test_empty_needs_dim(self):
-        assert len(CandidateSet.empty(2)) == 0
+        assert len(CandidateSet(np.zeros((0, 2)), dim=2)) == 0
         with pytest.raises(ValueError):
             CandidateSet([])
 
@@ -162,7 +161,18 @@ class TestInfoScore:
     def test_empty_candidates_rejected(self):
         model = GpModel.empty(unit_kernel(), 0.1, dim=1)
         with pytest.raises(ValueError):
-            info_score(model, CandidateSet.empty(1), [0.0])
+            info_score(model, CandidateSet(np.zeros((0, 1)), dim=1), [0.0])
+
+    @pytest.mark.parametrize("dim,probe,message", [
+        (1, [1.0, 2.0], "points have dimension 2, expected 1"),
+        # a column would otherwise be flattened and scored as the point (1, 2)
+        (2, [[1.0], [2.0]], "a point must be a nonempty vector"),
+    ], ids=["wrong_dimension", "column"])
+    def test_malformed_probe_rejected(self, dim, probe, message):
+        model = GpModel(unit_kernel(), 0.1, DataSet(np.zeros((1, dim)), [1.0]))
+        theta = CandidateSet(np.full((2, dim), 2.0))
+        with pytest.raises(ValueError, match=message):
+            info_score(model, theta, probe)
 
 
 class TestSelectExhaustive:
@@ -429,12 +439,12 @@ class TestAggregateLogDet:
             X = rng.uniform(-2, 2, size=(M, 1))
             model = GpModel(kern, noise, DataSet(X, rng.normal(size=M), dim=1))
             theta = CandidateSet(rng.uniform(2.5, 6, size=(5, 1)))
-            before = aggregate_log_det(model, theta)
+            before = sum(model.extended_log_det(x) for x in theta.points)
             for choose in (select_exhaustive, select_max_variance):
                 picked = choose(model, theta)
                 grown = model.with_observation(picked.point, rng.normal())
                 # same set on both sides; the absorbed point stays in it
-                after = aggregate_log_det(grown, theta)
+                after = sum(grown.extended_log_det(x) for x in theta.points)
                 assert after <= before + 1e-9
 
     def test_agreement_diagnostic_reported(self):

@@ -1,5 +1,6 @@
-"""Process start-up: what importing dualgp and running an episode loads."""
+"""Process start-up: what importing dualgp and running an episode loads, and its public names."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -40,3 +41,14 @@ def test_scipy_linalg_shares_the_loaded_extension(first):
         "trtrs = scipy.linalg.get_lapack_funcs('trtrs', (np.zeros((1, 1)),))\n"
         "assert trtrs is dualgp.gp._TRTRS\n"
     )
+
+
+@pytest.mark.parametrize("module", [
+    "dualgp", "dualgp.config", "dualgp.harness", "dualgp.control",
+    "dualgp.plants", "dualgp.gp", "dualgp.info",
+])
+def test_every_public_name_resolves(module):
+    # tools that wrap the public API look each __all__ entry up by name
+    mod = importlib.import_module(module)
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert not missing, missing
