@@ -4,7 +4,7 @@ Each step scores every action in a finite set by a weighted objective,
 tracking distance of the predicted next output from the reference minus
 a multiple of the predictive variance at the candidate input, applies the
 argmin action to the plant, observes the (possibly noisy) result, and
-feeds the new transition back into the per-output GP models. The
+feeds the new transition back into the structure's one GP model. The
 benchmark planner runs the same loop with the true dynamics as an exact,
 zero-variance model and no learning, to give the learned controller
 something to be compared with.
@@ -49,10 +49,12 @@ class EpisodeAborted(RuntimeError):
 
 
 class ActionSet:
-    """Finite set of control vectors the planner may choose from."""
+    """Finite, nonempty set of scalar actions, stored as an (n, 1) column."""
 
     def __init__(self, actions):
-        self.actions = _as_rows(actions, None, "actions")
+        self.actions = _as_rows(actions, 1, "actions")
+        if len(self.actions) == 0:
+            raise ValueError("action set is empty")
         self.actions.setflags(write=False)
 
     @classmethod
@@ -64,10 +66,6 @@ class ActionSet:
             raise ValueError(f"need a finite span high - low, got ({low}, {high})")
         count = int(np.floor((high - low) / step + 1e-9)) + 1
         return cls(low + step * np.arange(count))
-
-    @property
-    def dim(self) -> int:
-        return self.actions.shape[1]
 
     def __len__(self) -> int:
         return self.actions.shape[0]
@@ -106,10 +104,10 @@ class Weights:
 class IoModel:
     """Shared shape of the learned input/output maps.
 
-    Subclasses define how a (current output, action) pair becomes a GP
-    input row, what scalar each per-output GP is trained on, and how GP
-    posteriors turn back into a prediction of the next output. They own
-    their GpModel list; update() replaces entries in place.
+    Each structure learns one scalar map with one GP, held in the list
+    ``gps``. Subclasses define how a (current output, action) pair becomes
+    its input row, what scalar it is trained on, and how its posterior turns
+    back into a prediction of the next output; update() replaces the GP.
     """
 
     def __init__(self, gps, obs_dim: int):
@@ -120,7 +118,7 @@ class IoModel:
     def candidate_inputs(self, y, actions: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    # subclasses: turn per-GP posteriors into next-output mean/variance,
+    # subclasses: turn the GP posterior into next-output mean/variance,
     # shapes (n_actions, obs_dim)
     def assemble(self, y, actions, raw_means, raw_vars):
         raise NotImplementedError
@@ -135,9 +133,10 @@ class IoModel:
         raise NotImplementedError
 
     def predict_batch(self, y, actions: np.ndarray):
-        """Next-output posterior for every action: (means, variances),
+        """Next-output posterior for every scalar action: (means, variances),
         each of shape (n_actions, obs_dim)."""
         y = np.asarray(y, dtype=float).reshape(-1)
+        actions = _as_rows(actions, 1, "actions")
         inputs = self.candidate_inputs(y, actions)
         raw_means = []
         raw_vars = []
@@ -148,7 +147,7 @@ class IoModel:
         return self.assemble(y, actions, np.array(raw_means), np.array(raw_vars))
 
     def update(self, y, u, y_next):
-        """Absorb one observed transition into every per-output GP."""
+        """Absorb one observed transition into the GP."""
         x, targets = self.training_pair(
             np.asarray(y, dtype=float).reshape(-1),
             np.atleast_1d(np.asarray(u, dtype=float)),
@@ -166,14 +165,10 @@ class AdditiveControlModel(IoModel):
     structure needs no exploration incentive.
     """
 
-    def __init__(self, kernel: KernelConfig, noise_variance: float, obs_dim: int = 1):
-        super().__init__(
-            (GpModel.empty(kernel, noise_variance, dim=obs_dim) for _ in range(obs_dim)), obs_dim
-        )
+    def __init__(self, kernel: KernelConfig, noise_variance: float):
+        super().__init__([GpModel.empty(kernel, noise_variance, 1)], obs_dim=1)
 
     def candidate_inputs(self, y, actions):
-        if actions.shape[1] != self.obs_dim:
-            raise ValueError("additive control needs action dim == output dim")
         return np.repeat(y[None, :], len(actions), axis=0)
 
     def assemble(self, y, actions, raw_means, raw_vars):
@@ -186,12 +181,8 @@ class AdditiveControlModel(IoModel):
 class BlackBoxModel(IoModel):
     """No structural knowledge: the GP maps (y, u) directly to the next y."""
 
-    def __init__(self, kernel: KernelConfig, noise_variance: float,
-                 obs_dim: int = 1, act_dim: int = 1):
-        super().__init__(
-            (GpModel.empty(kernel, noise_variance, dim=obs_dim + act_dim) for _ in range(obs_dim)),
-            obs_dim,
-        )
+    def __init__(self, kernel: KernelConfig, noise_variance: float):
+        super().__init__([GpModel.empty(kernel, noise_variance, 2)], obs_dim=1)
 
     def candidate_inputs(self, y, actions):
         return np.hstack([np.repeat(y[None, :], len(actions), axis=0), actions])
@@ -214,7 +205,7 @@ class CartSideInfoModel(IoModel):
     """
 
     def __init__(self, kernel: KernelConfig, noise_variance: float, timestep: float):
-        super().__init__([GpModel.empty(kernel, noise_variance, dim=2)], obs_dim=2)
+        super().__init__([GpModel.empty(kernel, noise_variance, 2)], obs_dim=2)
         if not (0 < timestep < np.inf):
             raise ValueError(f"timestep must be finite and > 0, got {timestep}")
         self.timestep = timestep
@@ -222,8 +213,6 @@ class CartSideInfoModel(IoModel):
     def candidate_inputs(self, y, actions):
         if y.shape[0] != 2:
             raise ValueError(f"cart observation must be [position, velocity], got {y}")
-        if actions.shape[1] != 1:
-            raise ValueError("cart control is scalar")
         return np.hstack([np.full((len(actions), 1), y[1]), actions])
 
     def assemble(self, y, actions, raw_means, raw_vars):
@@ -303,8 +292,6 @@ def _score(io: IoModel, y, actions, r, w1: float, w2: float):
 
 def select_action(io: IoModel, y, r, phi: ActionSet, w1: float, w2: float) -> ActionChoice:
     """Best action in phi by the planning objective; ties take the lowest index."""
-    if len(phi) == 0:
-        raise ValueError("action set is empty")
     scores, means, variances = _score(io, y, phi.actions, r, w1, w2)
     idx = int(np.argmin(scores))
     return ActionChoice(
@@ -358,7 +345,7 @@ def run_episode(plant, io: IoModel, phi: ActionSet, reference, weights: Weights,
         for t in range(steps):
             r_t = ref(t)
             choice = select_action(io, y, r_t, phi, weights.w1, weights.w2_at(t))
-            plant.step(choice.action if phi.dim > 1 else float(choice.action[0]))
+            plant.step(float(choice.action[0]))
             y_next = channel.observe(plant)
             records.append(_finish_record(
                 t, choice.action, y_next, r_t,
@@ -397,7 +384,5 @@ def run_benchmark_episode(plant, io: IoModel, phi: ActionSet, reference, steps: 
     predicted mean is the exact one-step output of the chosen action. A plant
     divergence at step t raises EpisodeAborted with steps 0..t-1.
     """
-    if phi.dim != 1:
-        raise ValueError("benchmark planning expects scalar actions")
     exact = _ExactModel(plant, io)
     return run_episode(plant, exact, phi, reference, Weights(1.0, 0.0, 0.0), steps)

@@ -12,7 +12,6 @@ explicit matrix inverse is ever formed.
 import copy
 import os
 import sys
-import threading
 from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES
 from importlib.util import find_spec, module_from_spec, spec_from_file_location
@@ -51,8 +50,6 @@ _SCIPY = find_spec("scipy")
 if _SCIPY is None:
     raise ImportError(f"dualgp needs scipy, which is not on sys.path {sys.path}")
 _TRTRS = _flapack(os.path.join(os.path.dirname(_SCIPY.origin), "linalg")).dtrtrs
-# makes checking and taking a factor buffer's next row one step across threads
-_ROW_CLAIM = threading.Lock()
 
 
 class FactorizationError(ValueError):
@@ -84,17 +81,20 @@ def _as_point(x, dim=None):
 def _as_rows(values, dim, what):
     """Coerce a point set to a finite (n, d) float array; 1-D input is n scalars.
 
-    ``what`` names the points in errors; empty input needs ``dim``.
+    ``what`` names the points in errors. Empty input takes ``dim`` if it is
+    given; without it, only a (0, d) array says its d.
     """
     rows = np.asarray(values, dtype=float)
-    if rows.size == 0:
-        if dim is None:
-            raise ValueError(f"{what} are empty and no dimension was given")
+    if rows.size == 0 and dim is not None:
         rows = rows.reshape(0, dim)
     if rows.ndim == 1:
+        if rows.size == 0:
+            raise ValueError(f"{what} are empty and no dimension was given")
         rows = rows[:, None]
     if rows.ndim != 2:
         raise ValueError(f"{what} must be an (n, d) array, got shape {rows.shape}")
+    if rows.shape[1] == 0:
+        raise ValueError(f"{what} have no dimension, got shape {rows.shape}")
     if dim is not None and rows.shape[1] != dim:
         raise ValueError(f"{what} have dimension {rows.shape[1]}, expected {dim}")
     if not np.all(np.isfinite(rows)):
@@ -149,8 +149,8 @@ class KernelConfig:
 class DataSet:
     """Immutable training set: M input vectors of equal dimension plus M scalar targets."""
 
-    def __init__(self, inputs, targets, dim=None):
-        inputs = _as_rows(inputs, dim, "inputs")
+    def __init__(self, inputs, targets):
+        inputs = _as_rows(inputs, None, "inputs")
         targets = np.asarray(targets, dtype=float).reshape(-1)
         if inputs.shape[0] != targets.shape[0]:
             raise ValueError(
@@ -164,10 +164,6 @@ class DataSet:
         self.inputs, self.targets = inputs, targets
         inputs.setflags(write=False)
         targets.setflags(write=False)
-
-    @classmethod
-    def empty(cls, dim: int) -> "DataSet":
-        return cls(np.zeros((0, dim)), np.zeros(0), dim=dim)
 
     @property
     def dim(self) -> int:
@@ -204,14 +200,14 @@ class GpModel:
     Immutable: adding an observation returns a new model value, and a query
     only caches its solved column for an append of the same row, as one
     (row, column) tuple that threads replace whole. The factor is the first
-    M rows of a (cap, cap) buffer. Models on one buffer share a one-slot
-    count of its rows written, and an append writes row M in place only
-    while that count is M, so a second append to the same model copies to
-    a new buffer and branches never see each other's rows; the count is
-    checked and taken under a lock, so this holds for appends from several
-    threads too. The covariance of the training set is K + (noise_variance
-    + jitter) * I where K is the kernel Gram matrix; the prior predictive
-    variance at any point is kappa = signal_variance + noise_variance.
+    M rows of a (cap, cap) buffer. Only a model's first append may write
+    row M of that buffer in place: the model holds that right as a
+    one-item list, and an append takes it with one atomic pop. Any later
+    append to the same model, from any thread, copies to a new buffer, so
+    branches never see each other's rows. The covariance of the training
+    set is K + (noise_variance + jitter) * I where K is the kernel Gram
+    matrix; the prior predictive variance at any point is kappa =
+    signal_variance + noise_variance.
     """
 
     def __init__(self, kernel: KernelConfig, noise_variance: float, data: DataSet):
@@ -220,12 +216,11 @@ class GpModel:
         self.kernel = kernel
         self.noise_variance = float(noise_variance)
         self.data = data
-        chol = self._factorize()
-        self._set_factor(chol, [len(chol)])
+        self._set_factor(self._factorize())
 
     @classmethod
     def empty(cls, kernel: KernelConfig, noise_variance: float, dim: int) -> "GpModel":
-        return cls(kernel, noise_variance, DataSet.empty(dim))
+        return cls(kernel, noise_variance, DataSet(np.zeros((0, dim)), np.zeros(0)))
 
     # -- construction ------------------------------------------------------
 
@@ -248,12 +243,9 @@ class GpModel:
         except np.linalg.LinAlgError:
             raise _singular_error(self.data.inputs) from None
 
-    def _set_factor(self, buf, filled):
-        """Adopt the first M rows of a factor buffer and compute alpha = C^{-1} y.
-
-        ``filled`` is the buffer's rows-written count, shared by every model on it.
-        """
-        self._buf, self._filled = buf, filled
+    def _set_factor(self, buf):
+        """Adopt the first M rows of a factor buffer and compute alpha = C^{-1} y."""
+        self._spare = [buf]  # the first append's right to write row M in place
         self._chol = chol = buf[: len(self.data)]
         self._solved = None  # (row bytes, w) of this factor's last one-row query solve
         if len(self.data) > 0:
@@ -286,19 +278,18 @@ class GpModel:
         pivot = diagonal - float(w @ w)
         if pivot <= (n + 1) * np.finfo(float).eps * diagonal:
             raise _singular_error(new_data.inputs)
-        buf, filled = self._buf, self._filled
-        with _ROW_CLAIM:
-            in_place = filled[0] == n < len(buf)
-            if in_place:
-                filled[0] = n + 1
-        if not in_place:
-            buf, filled = np.zeros((2 * n + 1, 2 * n + 1)), [n + 1]
+        try:
+            buf = self._spare.pop()
+        except IndexError:  # an earlier append to this model took the right
+            buf = None
+        if buf is None or n == len(buf):
+            buf = np.zeros((2 * n + 1, 2 * n + 1))
             buf[:n, :n] = self._chol[:, :n]
         buf[n, :n] = w
         buf[n, n] = np.sqrt(pivot)
         model = copy.copy(self)
         model.data = new_data
-        model._set_factor(buf, filled)
+        model._set_factor(buf)
         return model
 
     # -- queries -----------------------------------------------------------

@@ -33,8 +33,8 @@ __all__ = [
 class CandidateSet:
     """Finite set of d-dimensional points eligible as the next probe."""
 
-    def __init__(self, points, dim=None):
-        self.points = _as_rows(points, dim, "candidate points")
+    def __init__(self, points):
+        self.points = _as_rows(points, None, "candidate points")
         self.points.setflags(write=False)
 
     @property
@@ -191,4 +191,4 @@ def sample_candidates(
         excl = _as_rows(np.atleast_2d(exclusions), dim, "exclusions")
         pts = pts[np.all(_sq_dist(pts, excl) > DUPLICATE_TOL**2, axis=1)]
 
-    return CandidateSet(pts, dim=dim)
+    return CandidateSet(pts)

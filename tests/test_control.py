@@ -105,10 +105,15 @@ class TestActionSet:
                 ActionSet.from_grid(low, high, 1.0)
 
     def test_rejects_empty_and_nonfinite(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^action set is empty$"):
             ActionSet(np.empty((0, 1)))
         with pytest.raises(ValueError):
             ActionSet([np.inf])
+
+    def test_actions_are_scalar(self):
+        # a 2-D action used to be accepted here and fail later in a plant's float(u)
+        with pytest.raises(ValueError, match="^actions have dimension 2, expected 1$"):
+            ActionSet([[0.0, 1.0]])
 
     def test_actions_read_only(self):
         phi = ActionSet([0.0, 1.0])
@@ -211,22 +216,40 @@ class TestPredictions:
             CartSideInfoModel(KERN, noise_variance=0.0, timestep=timestep)
 
     @pytest.mark.parametrize(
-        "io,obs_dim,act_dim",
+        "io,obs_dim,gp_dim",
         [
-            (AdditiveControlModel(KERN, noise_variance=0.1, obs_dim=2), 2, 2),
-            (BlackBoxModel(KERN, noise_variance=0.1, obs_dim=3, act_dim=1), 3, 1),
-            (CartSideInfoModel(KERN, noise_variance=0.1, timestep=0.05), 2, 1),
+            (AdditiveControlModel(KERN, noise_variance=0.1), 1, 1),
+            (BlackBoxModel(KERN, noise_variance=0.1), 1, 2),
+            (CartSideInfoModel(KERN, noise_variance=0.1, timestep=0.05), 2, 2),
         ],
+        ids=["additive", "black_box", "cart"],
     )
-    def test_obs_dim_sets_prediction_width(self, io, obs_dim, act_dim):
+    def test_obs_dim_sets_prediction_width(self, io, obs_dim, gp_dim):
+        # each structure learns one scalar map with one GP
         assert io.obs_dim == obs_dim
-        means, variances = io.predict_batch(np.zeros(obs_dim), np.zeros((4, act_dim)))
+        assert len(io.gps) == 1 and io.gps[0].dim == gp_dim
+        means, variances = io.predict_batch(np.zeros(obs_dim), np.zeros((4, 1)))
         assert means.shape == variances.shape == (4, obs_dim)
 
     def test_additive_rejects_mismatched_action_dim(self):
-        io = AdditiveControlModel(KERN, noise_variance=0.1, obs_dim=1)
-        with pytest.raises(ValueError):
+        io = AdditiveControlModel(KERN, noise_variance=0.1)
+        with pytest.raises(ValueError, match="actions have dimension 2, expected 1"):
             io.predict_batch(np.array([0.0]), np.array([[1.0, 2.0]]))
+
+    @pytest.mark.parametrize("io,y", [
+        (AdditiveControlModel(KERN, noise_variance=0.1), [0.3]),
+        (BlackBoxModel(KERN, noise_variance=0.1), [0.3]),
+        (CartSideInfoModel(KERN, noise_variance=0.1, timestep=0.05), [0.1, 0.4]),
+    ], ids=["additive", "black_box", "cart"])
+    def test_predict_batch_checks_actions_once(self, io, y):
+        # a list of scalar actions predicts as the array does; two columns are one error
+        io.update(y, [0.5], np.add(y, 0.2))
+        listed = io.predict_batch(y, [[0.3], [-0.2]])
+        array = io.predict_batch(np.array(y), np.array([[0.3], [-0.2]]))
+        for got, want in zip(listed, array):
+            assert got.tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match="^actions have dimension 2, expected 1$"):
+            io.predict_batch(y, [[0.3, 0.1]])
 
 
 class TestObjective:

@@ -170,13 +170,16 @@ class TestKernel:
 
 class TestDataSet:
     def test_empty_needs_dim(self):
-        d = DataSet.empty(2)
+        # an empty (0, d) array says its d; 1-D empty input and an (n, 0) array do not
+        d = DataSet(np.zeros((0, 2)), [])
         assert len(d) == 0 and d.dim == 2
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="inputs are empty and no dimension was given"):
             DataSet([], [])
+        with pytest.raises(ValueError, match=r"inputs have no dimension, got shape \(2, 0\)"):
+            DataSet(np.zeros((2, 0)), [1, 2])
 
     def test_append_returns_new_value(self):
-        d0 = DataSet.empty(1)
+        d0 = DataSet(np.zeros((0, 1)), [])
         d1 = d0.append([0.5], 1.0)
         assert len(d0) == 0 and len(d1) == 1
         assert d1.inputs[0, 0] == 0.5 and d1.targets[0] == 1.0
@@ -201,7 +204,7 @@ class TestDataSet:
         with pytest.raises(ValueError, match=message):
             gp.with_observation(x, y)
         assert (data.inputs.tobytes(), data.targets.tobytes()) == snapshot
-        assert gp.data is data and gp._filled == [2]
+        assert gp.data is data and len(gp._spare) == 1
         after = gp.posterior_batch(q)
         assert before[0].tobytes() == after[0].tobytes()
         assert before[1].tobytes() == after[1].tobytes()
@@ -698,7 +701,7 @@ class TestExtendedLogDet:
             noise = float(rng.uniform(0.05, 0.5))
             X = rng.uniform(-2, 2, size=(M, 2))
             borders = rng.uniform(-2, 2, size=(p, 2))
-            gp = GpModel(kern, noise, DataSet(X, rng.normal(size=M), dim=2))
+            gp = GpModel(kern, noise, DataSet(X, rng.normal(size=M)))
             allpts = np.vstack([X, borders])
             full = kern.cross(allpts, allpts)
             full[np.diag_indices(M + p)] += noise
@@ -715,7 +718,7 @@ class TestExtendedLogDet:
         kern, noise, points, y, _ = problem
         p = min(p, len(points))
         X, border = points[p:], points[:p]
-        gp = GpModel(kern, noise, DataSet(X, y[p:], dim=points.shape[1]))
+        gp = GpModel(kern, noise, DataSet(X, y[p:]))
         ordered = np.vstack([X, border])
         full = dense_gram(kern, ordered, ordered) + (noise + kern.jitter) * np.eye(len(ordered))
         m = len(X)

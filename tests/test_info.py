@@ -79,7 +79,7 @@ def selection_problem(draw):
     side = int(np.ceil(m ** (1.0 / dim))) if m else 1
     sites = np.stack(np.meshgrid(*[np.arange(side)] * dim, indexing="ij"), -1).reshape(-1, dim)
     X = gap * (rng.permutation(sites)[:m] + rng.uniform(-0.1, 0.1, size=(m, dim)))
-    model = GpModel(kern, noise, DataSet(X, rng.normal(size=m), dim=dim))
+    model = GpModel(kern, noise, DataSet(X, rng.normal(size=m)))
     bounds = [(-gap, gap * side)] * dim
     theta = sample_candidates(bounds, n, mode="uniform_random",
                               seed=int(rng.integers(2**31)), exclusions=X if m else None)
@@ -94,7 +94,7 @@ def random_instance(rng, max_m=4, max_t=6, dim=1):
     noise = float(rng.uniform(0.05, 0.5))
     M = int(rng.integers(0, max_m + 1))
     X = rng.uniform(-2, 2, size=(M, dim))
-    model = GpModel(kern, noise, DataSet(X, rng.normal(size=M), dim=dim))
+    model = GpModel(kern, noise, DataSet(X, rng.normal(size=M)))
     T = int(rng.integers(1, max_t + 1))
     theta = CandidateSet(rng.uniform(2.5, 6, size=(T, dim)))
     return model, theta
@@ -108,9 +108,13 @@ class TestCandidateSet:
         assert cs1d.points.shape == (3, 1)
 
     def test_empty_needs_dim(self):
-        assert len(CandidateSet(np.zeros((0, 2)), dim=2)) == 0
-        with pytest.raises(ValueError):
+        # an empty (0, d) array says its d; 1-D empty input and an (n, 0) array do not
+        cs = CandidateSet(np.zeros((0, 2)))
+        assert len(cs) == 0 and cs.dim == 2
+        with pytest.raises(ValueError, match="candidate points are empty and no dimension"):
             CandidateSet([])
+        with pytest.raises(ValueError, match=r"have no dimension, got shape \(3, 0\)"):
+            CandidateSet(np.zeros((3, 0)))
 
     def test_points_read_only(self):
         cs = CandidateSet([[0.0]])
@@ -161,7 +165,7 @@ class TestInfoScore:
     def test_empty_candidates_rejected(self):
         model = GpModel.empty(unit_kernel(), 0.1, dim=1)
         with pytest.raises(ValueError):
-            info_score(model, CandidateSet(np.zeros((0, 1)), dim=1), [0.0])
+            info_score(model, CandidateSet(np.zeros((0, 1))), [0.0])
 
     @pytest.mark.parametrize("dim,probe,message", [
         (1, [1.0, 2.0], "points have dimension 2, expected 1"),
@@ -437,7 +441,7 @@ class TestAggregateLogDet:
             kern = KernelConfig(signal_variance=a, length_scale=1.0)
             M = int(rng.integers(0, 5))
             X = rng.uniform(-2, 2, size=(M, 1))
-            model = GpModel(kern, noise, DataSet(X, rng.normal(size=M), dim=1))
+            model = GpModel(kern, noise, DataSet(X, rng.normal(size=M)))
             theta = CandidateSet(rng.uniform(2.5, 6, size=(5, 1)))
             before = sum(model.extended_log_det(x) for x in theta.points)
             for choose in (select_exhaustive, select_max_variance):
