@@ -16,6 +16,7 @@ partial_side_info (the cart: position kinematics are known exactly, the
 GP learns the velocity map).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,8 +119,8 @@ class IoModel:
     def candidate_inputs(self, y, actions: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    # subclasses: turn the GP posterior into next-output mean/variance,
-    # shapes (n_actions, obs_dim)
+    # subclasses: turn the GP posterior, shape (n_actions,) each, into
+    # next-output mean/variance, shapes (n_actions, obs_dim)
     def assemble(self, y, actions, raw_means, raw_vars):
         raise NotImplementedError
 
@@ -136,22 +137,21 @@ class IoModel:
         """Next-output posterior for every scalar action: (means, variances),
         each of shape (n_actions, obs_dim)."""
         y = np.asarray(y, dtype=float).reshape(-1)
-        actions = _as_rows(actions, 1, "actions")
-        inputs = self.candidate_inputs(y, actions)
-        raw_means = []
-        raw_vars = []
-        for gp in self.gps:
-            m, v = gp.posterior_batch(inputs)
-            raw_means.append(m)
-            raw_vars.append(v)
-        return self.assemble(y, actions, np.array(raw_means), np.array(raw_vars))
+        return self._predict(y, _as_rows(actions, 1, "actions"))
+
+    def _predict(self, y, actions):
+        """predict_batch for a flat float ``y`` and checked (n, 1) ``actions``."""
+        (gp,) = self.gps
+        means, variances = gp.posterior_batch(self.candidate_inputs(y, actions))
+        return self.assemble(y, actions, means, variances)
 
     def update(self, y, u, y_next):
-        """Absorb one observed transition into the GP."""
+        """Absorb one observed transition, with its one finite scalar action, into the GP."""
+        u = np.atleast_1d(np.asarray(u, dtype=float))
+        if u.shape != (1,) or not math.isfinite(u[0]):
+            raise ValueError(f"an update takes one finite scalar action, got {u}")
         x, targets = self.training_pair(
-            np.asarray(y, dtype=float).reshape(-1),
-            np.atleast_1d(np.asarray(u, dtype=float)),
-            np.asarray(y_next, dtype=float).reshape(-1),
+            np.asarray(y, dtype=float).reshape(-1), u, np.asarray(y_next, dtype=float).reshape(-1)
         )
         self.gps = [gp.with_observation(x, t) for gp, t in zip(self.gps, targets)]
 
@@ -169,10 +169,10 @@ class AdditiveControlModel(IoModel):
         super().__init__([GpModel.empty(kernel, noise_variance, 1)], obs_dim=1)
 
     def candidate_inputs(self, y, actions):
-        return np.repeat(y[None, :], len(actions), axis=0)
+        return y[None, :].repeat(len(actions), axis=0)
 
     def assemble(self, y, actions, raw_means, raw_vars):
-        return raw_means.T + actions, raw_vars.T
+        return raw_means[:, None] + actions, raw_vars[:, None]
 
     def training_pair(self, y, u, y_next):
         return y, y_next - u
@@ -185,10 +185,10 @@ class BlackBoxModel(IoModel):
         super().__init__([GpModel.empty(kernel, noise_variance, 2)], obs_dim=1)
 
     def candidate_inputs(self, y, actions):
-        return np.hstack([np.repeat(y[None, :], len(actions), axis=0), actions])
+        return np.hstack([y[None, :].repeat(len(actions), axis=0), actions])
 
     def assemble(self, y, actions, raw_means, raw_vars):
-        return raw_means.T, raw_vars.T
+        return raw_means[:, None], raw_vars[:, None]
 
     def training_pair(self, y, u, y_next):
         return np.concatenate([y, u]), y_next
@@ -217,8 +217,8 @@ class CartSideInfoModel(IoModel):
 
     def assemble(self, y, actions, raw_means, raw_vars):
         n = len(actions)
-        means = np.column_stack([np.full(n, y[0] + self.timestep * y[1]), raw_means[0]])
-        variances = np.column_stack([np.zeros(n), raw_vars[0]])
+        means = np.column_stack([np.full(n, y[0] + self.timestep * y[1]), raw_means])
+        variances = np.column_stack([np.zeros(n), raw_vars])
         return means, variances
 
     def tracking_values(self, y, actions, means):
@@ -276,24 +276,28 @@ def make_reference(value):
 
 
 def _score(io: IoModel, y, actions, r, w1: float, w2: float):
-    means, variances = io.predict_batch(y, actions)
-    tracked = io.tracking_values(np.asarray(y, dtype=float).reshape(-1), actions, means)
+    """Objective of every action in the checked (n, 1) ``actions``, with its predictions."""
+    y = np.asarray(y, dtype=float).reshape(-1)
+    means, variances = io._predict(y, actions)
+    tracked = io.tracking_values(y, actions, means)
     r = np.atleast_1d(np.asarray(r, dtype=float))
     if tracked.shape[1] != r.shape[0]:
         raise ValueError(
             f"reference has dimension {r.shape[0]}, tracked output has {tracked.shape[1]}"
         )
-    # a divergent prediction may overflow the squares inside the norm; it is inf then
+    # a divergent prediction may overflow the squares; its distance is inf then.
+    # The row norms as np.linalg.norm(d, axis=1) takes them, bit for bit
     with np.errstate(over="ignore"):
-        track_err = np.linalg.norm(tracked - r[None, :], axis=1)
-    scores = w1 * track_err - w2 * np.sum(variances, axis=1)
+        d = tracked - r[None, :]
+        track_err = np.sqrt(np.add.reduce(d * d, axis=1))
+    scores = w1 * track_err - w2 * np.add.reduce(variances, axis=1)
     return scores, means, variances
 
 
 def select_action(io: IoModel, y, r, phi: ActionSet, w1: float, w2: float) -> ActionChoice:
     """Best action in phi by the planning objective; ties take the lowest index."""
     scores, means, variances = _score(io, y, phi.actions, r, w1, w2)
-    idx = int(np.argmin(scores))
+    idx = int(scores.argmin())
     return ActionChoice(
         index=idx,
         action=phi.actions[idx].copy(),
@@ -304,14 +308,16 @@ def select_action(io: IoModel, y, r, phi: ActionSet, w1: float, w2: float) -> Ac
 
 
 def _finish_record(t, action, y_next, r_t, mean, variance, score):
-    r_t = np.atleast_1d(np.asarray(r_t, dtype=float))
+    """Step t's record; ``r_t`` is make_reference's finite vector for step t."""
     # the reference addresses the leading output components (the cart
     # tracks position only, its observation also carries velocity)
     tracked = y_next[: r_t.shape[0]]
-    # a divergent step may overflow the squares inside the norm; it is inf then
+    # a divergent step may overflow the squares; its error is inf then. The
+    # norms as np.linalg.norm takes them for a vector, bit for bit
     with np.errstate(over="ignore"):
-        tracking_error = float(np.linalg.norm(tracked - r_t))
-        estimation_error = float(np.linalg.norm(y_next - mean))
+        tracking, estimation = tracked - r_t, y_next - mean
+        tracking_error = math.sqrt(tracking.dot(tracking))
+        estimation_error = math.sqrt(estimation.dot(estimation))
     return StepRecord(
         step=t,
         action=action,
@@ -365,7 +371,7 @@ class _ExactModel:
         self.plant = plant
         self.tracking_values = io.tracking_values
 
-    def predict_batch(self, y, actions):
+    def _predict(self, y, actions):
         plant = self.plant
         means = np.array([plant.output_of(plant.simulate(plant.state, float(a[0])))
                           for a in actions])

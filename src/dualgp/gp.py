@@ -9,7 +9,7 @@ scoring) is answered through triangular solves against that factor. No
 explicit matrix inverse is ever formed.
 """
 
-import copy
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -27,6 +27,7 @@ __all__ = [
 
 # below this separation two points count as duplicates
 DUPLICATE_TOL = 1e-12
+_EPS = np.finfo(float).eps
 
 
 def _flapack(directory):
@@ -56,15 +57,17 @@ class FactorizationError(ValueError):
     """Covariance matrix could not be factorized (not positive definite)."""
 
 
-def solve_triangular(chol, rhs, trans=False):
+def solve_triangular(chol, rhs, trans=False, overwrite_b=False):
     """Solve L x = rhs, or L^T x = rhs with ``trans``, for a C-ordered lower factor L.
 
     ``chol`` may be (n, cap), cap > n, with L its first n columns: the rows
     of a factor buffer, passed uncopied with leading dimension cap. scipy's
     dtrtrs call for such a factor, with the same bits, minus its finiteness
-    scans: every factor and right-hand side here is finite.
+    scans: every factor and right-hand side here is finite. ``overwrite_b``
+    lets a Fortran-ordered ``rhs`` that the caller drops hold the solution;
+    LAPACK writes it even where the array is marked read-only.
     """
-    x, info = _TRTRS(chol.T, rhs, lower=False, trans=not trans)
+    x, info = _TRTRS(chol.T, rhs, lower=False, trans=not trans, overwrite_b=overwrite_b)
     if info != 0:
         raise FactorizationError(f"triangular solve failed (LAPACK dtrtrs info {info})")
     return x
@@ -81,11 +84,11 @@ def _as_point(x, dim=None):
 def _as_rows(values, dim, what):
     """Coerce a point set to a finite (n, d) float array; 1-D input is n scalars.
 
-    ``what`` names the points in errors. Empty input takes ``dim`` if it is
-    given; without it, only a (0, d) array says its d.
+    ``what`` names the points in errors. Input with no rows takes ``dim`` if
+    it is given; without it, only a (0, d) array says its d.
     """
     rows = np.asarray(values, dtype=float)
-    if rows.size == 0 and dim is not None:
+    if dim is not None and rows.shape[:1] == (0,):
         rows = rows.reshape(0, dim)
     if rows.ndim == 1:
         if rows.size == 0:
@@ -97,7 +100,7 @@ def _as_rows(values, dim, what):
         raise ValueError(f"{what} have no dimension, got shape {rows.shape}")
     if dim is not None and rows.shape[1] != dim:
         raise ValueError(f"{what} have dimension {rows.shape[1]}, expected {dim}")
-    if not np.all(np.isfinite(rows)):
+    if not np.isfinite(rows).all():
         raise ValueError(f"{what} contain non-finite values")
     return rows
 
@@ -107,10 +110,10 @@ def _sq_dist(rows, cols):
 
     Summed one dimension at a time, so no (n, m, d) temporary is built.
     """
-    d2 = np.zeros((rows.shape[0], cols.shape[0]))
     # divergent points may overflow to inf: kernel value 0, never a duplicate
     with np.errstate(over="ignore"):
-        for j in range(rows.shape[1]):
+        d2 = (rows[:, 0, None] - cols[None, :, 0]) ** 2
+        for j in range(1, rows.shape[1]):
             d2 += (rows[:, j, None] - cols[None, :, j]) ** 2
     return d2
 
@@ -142,12 +145,17 @@ class KernelConfig:
         return self._from_sq_dist(_sq_dist(np.atleast_2d(rows), np.atleast_2d(cols)))
 
     def _from_sq_dist(self, d2: np.ndarray) -> np.ndarray:
-        """Kernel values at the squared distances ``d2``, entry by entry."""
-        return self.signal_variance * np.exp(-0.5 * d2 / self.length_scale**2)
+        """Kernel values a * exp(-0.5 * d2 / l^2) at squared distances ``d2``, in one new array."""
+        k = np.multiply(d2, -0.5)
+        k /= self.length_scale**2
+        return np.multiply(np.exp(k, out=k), self.signal_variance, out=k)
 
 
 class DataSet:
-    """Immutable training set: M input vectors of equal dimension plus M scalar targets."""
+    """Immutable training set: M input vectors of equal dimension plus M scalar targets.
+
+    A model's ``data`` views its storage; GpModel.with_observation grows it.
+    """
 
     def __init__(self, inputs, targets):
         inputs = _as_rows(inputs, None, "inputs")
@@ -172,15 +180,6 @@ class DataSet:
     def __len__(self) -> int:
         return self.inputs.shape[0]
 
-    def append(self, x, y) -> "DataSet":
-        """New set with one more pair; only the new pair is checked, stored rows already were."""
-        point, target = _as_point(x, dim=self.dim), float(y)
-        if not np.isfinite(target):
-            raise ValueError("targets contain non-finite values")
-        data = DataSet.__new__(DataSet)
-        data._freeze(np.vstack([self.inputs, point]), np.append(self.targets, target))
-        return data
-
 
 def _singular_error(inputs):
     """FactorizationError for a singular training covariance, naming duplicate inputs."""
@@ -199,14 +198,15 @@ class GpModel:
 
     Immutable: adding an observation returns a new model value, and a query
     only caches its solved column for an append of the same row, as one
-    (row, column) tuple that threads replace whole. The factor is the first
-    M rows of a (cap, cap) buffer. Only a model's first append may write
-    row M of that buffer in place: the model holds that right as a
-    one-item list, and an append takes it with one atomic pop. Any later
-    append to the same model, from any thread, copies to a new buffer, so
-    branches never see each other's rows. The covariance of the training
-    set is K + (noise_variance + jitter) * I where K is the kernel Gram
-    matrix; the prior predictive variance at any point is kappa =
+    (row, column) tuple that threads replace whole. The factor, inputs and
+    targets are the first M rows of three buffers of one capacity, and
+    ``data`` is a read-only view of the latter two. Only a model's first
+    append may write row M of those buffers in place: the model holds that
+    right as a one-item list, and an append takes it with one atomic pop.
+    Any later append to the same model, from any thread, copies to new
+    buffers, so branches never see each other's rows. The covariance of the
+    training set is K + (noise_variance + jitter) * I where K is the kernel
+    Gram matrix; the prior predictive variance at any point is kappa =
     signal_variance + noise_variance.
     """
 
@@ -216,7 +216,7 @@ class GpModel:
         self.kernel = kernel
         self.noise_variance = float(noise_variance)
         self.data = data
-        self._set_factor(self._factorize())
+        self._set_factor((self._factorize(), data.inputs, data.targets))
 
     @classmethod
     def empty(cls, kernel: KernelConfig, noise_variance: float, dim: int) -> "GpModel":
@@ -243,53 +243,61 @@ class GpModel:
         except np.linalg.LinAlgError:
             raise _singular_error(self.data.inputs) from None
 
-    def _set_factor(self, buf):
-        """Adopt the first M rows of a factor buffer and compute alpha = C^{-1} y."""
-        self._spare = [buf]  # the first append's right to write row M in place
-        self._chol = chol = buf[: len(self.data)]
+    def _set_factor(self, bufs):
+        """Adopt the (factor, inputs, targets) buffers of ``data``; alpha = C^{-1} y."""
+        self._spare = [bufs]  # the first append's right to write row M in place
+        self._chol = chol = bufs[0][: len(self.data)]
         self._solved = None  # (row bytes, w) of this factor's last one-row query solve
         if len(self.data) > 0:
             z = solve_triangular(chol, self.data.targets)
-            self._alpha = solve_triangular(chol, z, trans=True)
+            self._alpha = solve_triangular(chol, z, trans=True, overwrite_b=True)
         else:
             self._alpha = np.zeros(0)
 
     def with_observation(self, x, y) -> "GpModel":
         """New model with one more (input, target) pair.
 
-        Extends the cached factor by a single row instead of refactorizing
-        the full matrix, in place unless the factor must first move to a
-        new buffer of about twice its size. The new row's column w =
+        Checks only the new pair; the stored rows already were. Extends the
+        cached factor, inputs and targets by a single row instead of
+        refactorizing the full matrix, in place unless they must first move
+        to new buffers of about twice the size. The new row's column w =
         L^{-1} k(X, x) is the last one-row query's when that row is x,
         bit for bit, and is solved otherwise. A squared pivot of at most
         (M + 1) eps (signal_variance + noise + jitter), M the stored points,
         is round-off: FactorizationError.
         """
-        new_data = self.data.append(x, y)
+        point, target = _as_point(x, dim=self.dim), float(y)
+        if not math.isfinite(target):
+            raise ValueError("targets contain non-finite values")
         n = len(self.data)
         w = np.zeros(0)
         solved = self._solved
-        if solved is not None and solved[0] == new_data.inputs[n].tobytes():
+        if solved is not None and solved[0] == point.tobytes():
             w = solved[1]
         elif n > 0:
-            k = self.kernel.cross(self.data.inputs, new_data.inputs[n:])[:, 0]
-            w = solve_triangular(self._chol, k)
+            k = self.kernel.cross(self.data.inputs, point)[:, 0]
+            w = solve_triangular(self._chol, k, overwrite_b=True)
         diagonal = self.kernel.signal_variance + self._diagonal_boost()
         pivot = diagonal - float(w @ w)
-        if pivot <= (n + 1) * np.finfo(float).eps * diagonal:
-            raise _singular_error(new_data.inputs)
+        if pivot <= (n + 1) * _EPS * diagonal:
+            raise _singular_error(np.vstack([self.data.inputs, point]))
         try:
-            buf = self._spare.pop()
+            buf, inputs, targets = self._spare.pop()
         except IndexError:  # an earlier append to this model took the right
             buf = None
         if buf is None or n == len(buf):
-            buf = np.zeros((2 * n + 1, 2 * n + 1))
+            cap = 2 * n + 1
+            buf, inputs, targets = np.zeros((cap, cap)), np.empty((cap, self.dim)), np.empty(cap)
             buf[:n, :n] = self._chol[:, :n]
+            inputs[:n], targets[:n] = self.data.inputs, self.data.targets
         buf[n, :n] = w
         buf[n, n] = np.sqrt(pivot)
-        model = copy.copy(self)
-        model.data = new_data
-        model._set_factor(buf)
+        inputs[n], targets[n] = point[0], target
+        model = object.__new__(type(self))
+        model.__dict__.update(self.__dict__)
+        model.data = DataSet.__new__(DataSet)
+        model.data._freeze(inputs[: n + 1], targets[: n + 1])
+        model._set_factor((buf, inputs, targets))
         return model
 
     # -- queries -----------------------------------------------------------
@@ -327,12 +335,12 @@ class GpModel:
         k = self.kernel.cross(self.data.inputs, points[:1] if repeated else points)
         # np.repeat keeps C order and so the bits of k(X, points).T @ alpha
         means = (np.repeat(k, n, axis=1) if repeated else k).T @ self._alpha
-        w = solve_triangular(self._chol, k)
-        variances = kappa - np.sum(w * w, axis=0)
+        w = solve_triangular(self._chol, k, overwrite_b=True)
+        variances = (kappa - np.add.reduce(w * w, axis=0)).clip(0.0, kappa)
         if repeated:  # keep the column an append of this row needs, with the same bits
             self._solved = (points[0].tobytes(), w[:, 0])
-            variances = np.repeat(variances, n)
-        return means, np.clip(variances, 0.0, kappa)
+            variances = variances.repeat(n)
+        return means, variances
 
     def schur_complement(self, points) -> np.ndarray:
         """Covariance of noisy observations at the points given the training data.
@@ -347,12 +355,12 @@ class GpModel:
     def _schur_complement(self, pts, k):
         """schur_complement of checked points ``pts``, given k = k(X, pts).
 
-        A Fortran-ordered ``k`` spares the triangular solve a transposing copy.
+        The solve overwrites ``k``; a Fortran-ordered one it also spares a copy.
         """
         block = self.kernel.cross(pts, pts)
         block[np.diag_indices(pts.shape[0])] += self._diagonal_boost()
         if len(self.data) > 0:
-            w = solve_triangular(self._chol, k)
+            w = solve_triangular(self._chol, k, overwrite_b=True)
             block = block - w.T @ w
         return block
 

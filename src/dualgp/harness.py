@@ -191,8 +191,7 @@ def _fmt(value: float) -> str:
 
 
 def _cell(value) -> str:
-    arr = np.atleast_1d(np.asarray(value, dtype=float))
-    return ";".join(_fmt(v) for v in arr)
+    return ";".join(map(_fmt, np.asarray(value, dtype=float).ravel().tolist()))
 
 
 def _write_csv(path, header, rows):

@@ -10,6 +10,7 @@ separate seeded channel that can add Gaussian noise; observing never
 mutates the plant.
 """
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -28,6 +29,8 @@ class PlantDiverged(RuntimeError):
 
 
 def _require_finite(value, what: str):
+    if isinstance(value, float) and math.isfinite(value):
+        return value
     arr = np.asarray(value, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise PlantDiverged(f"{what} is non-finite: {arr}")

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dualgp import control
 from dualgp.control import (
     ActionSet,
     AdditiveControlModel,
@@ -250,6 +253,76 @@ class TestPredictions:
             assert got.tobytes() == want.tobytes()
         with pytest.raises(ValueError, match="^actions have dimension 2, expected 1$"):
             io.predict_batch(y, [[0.3, 0.1]])
+
+    @pytest.mark.parametrize("io,y,u", [
+        (AdditiveControlModel(KERN, noise_variance=0.1), [0.3], [0.5, 9.0]),
+        (AdditiveControlModel(KERN, noise_variance=0.1), [0.3], [[0.5]]),
+        (AdditiveControlModel(KERN, noise_variance=0.1), [0.3], [np.inf]),
+        (AdditiveControlModel(KERN, noise_variance=0.1), [0.3], []),
+        (CartSideInfoModel(KERN, noise_variance=0.1, timestep=0.05), [0.1, 0.4], [0.2, 0.5]),
+        (CartSideInfoModel(KERN, noise_variance=0.1, timestep=0.05), [0.1, 0.4], [np.nan]),
+        (BlackBoxModel(KERN, noise_variance=0.1), [0.3], [0.2, 0.5]),
+    ], ids=["additive-two", "additive-row", "additive-inf", "additive-none",
+            "cart-two", "cart-nan", "black_box-two"])
+    def test_update_takes_one_finite_scalar_action(self, io, y, u):
+        # the additive model stored y' - 0.5 and dropped the 9.0; the cart stored (0.4, 0.5)
+        with pytest.raises(ValueError, match="^an update takes one finite scalar action, got "):
+            io.update(y, u, np.add(y, 0.2))
+        assert len(io.gps[0].data) == 0
+        io.update(y, [0.5], np.add(y, 0.2))
+        io.update(y, 0.25, np.add(y, 0.1))
+        assert len(io.gps[0].data) == 2
+
+
+class _GivenPrediction:
+    """A zero-variance model whose predictions are given rows, tracked as they are."""
+
+    def __init__(self, means):
+        self.means = means
+
+    def _predict(self, y, actions):
+        return self.means, np.zeros_like(self.means)
+
+    def tracking_values(self, y, actions, means):
+        return means
+
+
+# any finite float, the largest included, so that differences and squares overflow
+WIDE = st.floats(-1.7e308, 1.7e308, allow_nan=False, allow_infinity=False)
+
+
+def _vector(draw, size):
+    return np.array(draw(st.lists(st.one_of(WIDE, st.floats(-3.0, 3.0)),
+                                  min_size=size, max_size=size)), dtype=float)
+
+
+class TestNorms:
+    """The loop's distances take np.linalg.norm's bits without its dispatch."""
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.data(), st.integers(1, 5), st.integers(1, 3))
+    def test_scores_are_the_row_norms(self, data, n, width):
+        # w1 = 1, w2 = 0 and zero variances: each score is its tracking distance
+        means = _vector(data.draw, n * width).reshape(n, width)
+        r = _vector(data.draw, width)
+        scores, _, _ = control._score(_GivenPrediction(means), [0.0], np.zeros((n, 1)),
+                                      r, 1.0, 0.0)
+        with np.errstate(over="ignore"):
+            want = np.linalg.norm(means - r[None, :], axis=1)
+        assert scores.tobytes() == want.tobytes()
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.data(), st.integers(1, 4))
+    def test_record_errors_are_the_vector_norms(self, data, width):
+        y_next, mean = _vector(data.draw, width), _vector(data.draw, width)
+        r = _vector(data.draw, data.draw(st.integers(1, width)))
+        rec = control._finish_record(0, np.zeros(1), y_next, r, mean, np.zeros(width), 0.0)
+        with np.errstate(over="ignore"):
+            tracking = float(np.linalg.norm(y_next[: len(r)] - r))
+            estimation = float(np.linalg.norm(y_next - mean))
+        assert np.float64(rec.tracking_error).tobytes() == np.float64(tracking).tobytes()
+        assert np.float64(rec.estimation_error).tobytes() == np.float64(estimation).tobytes()
+        assert type(rec.tracking_error) is type(rec.estimation_error) is float
 
 
 class TestObjective:

@@ -24,6 +24,7 @@ from dualgp.gp import (
     solve_triangular,
 )
 from dualgp.harness import build_action_set, run_scenario
+from dualgp.info import CandidateSet, select_exhaustive
 
 # frozen reference values, computed from the closed forms with numpy
 EXP_HALF = 0.6065306597126334       # exp(-0.5)
@@ -69,9 +70,9 @@ def solve_calls(monkeypatch):
     calls = []
     solve = gp_module.solve_triangular
 
-    def counted(chol, rhs, trans=False):
+    def counted(chol, rhs, trans=False, overwrite_b=False):
         calls.append(np.shape(rhs))
-        return solve(chol, rhs, trans)
+        return solve(chol, rhs, trans, overwrite_b)
 
     monkeypatch.setattr(gp_module, "solve_triangular", counted)
     return calls
@@ -168,6 +169,43 @@ class TestKernel:
             KernelConfig(**kwargs)
 
 
+# any finite float, the largest included, so that differences and squares overflow
+WIDE = st.floats(-1.7e308, 1.7e308, allow_nan=False, allow_infinity=False)
+
+
+def head_sq_dist(rows, cols):
+    """The squared distances as first written: a zero block plus every dimension's square."""
+    d2 = np.zeros((rows.shape[0], cols.shape[0]))
+    for j in range(rows.shape[1]):
+        d2 += (rows[:, j, None] - cols[None, :, j]) ** 2
+    return d2
+
+
+@st.composite
+def point_pair(draw):
+    """Two point sets of one dimension, coordinates from WIDE or near the origin."""
+    dim, n, m = draw(st.integers(1, 3)), draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    coords = st.one_of(WIDE, st.floats(-3.0, 3.0))
+    rows = np.array(draw(st.lists(coords, min_size=n * dim, max_size=n * dim)), dtype=float)
+    cols = np.array(draw(st.lists(coords, min_size=m * dim, max_size=m * dim)), dtype=float)
+    return rows.reshape(n, dim), cols.reshape(m, dim)
+
+
+class TestKernelHelpers:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    # l stays below 1e154: l**2 of a larger Python float raises OverflowError in both forms
+    @given(point_pair(), st.floats(1e-300, 1e300), st.floats(1e-300, 1e150))
+    def test_same_bits_as_the_first_formulas(self, pair, a, l):
+        # the in-place helpers against a * exp(-0.5 * d2 / l^2) over a zero-started sum
+        rows, cols = pair
+        kern = KernelConfig(signal_variance=a, length_scale=l)
+        with np.errstate(all="ignore"):
+            d2, want_d2 = gp_module._sq_dist(rows, cols), head_sq_dist(rows, cols)
+            got, want = kern._from_sq_dist(d2), a * np.exp(-0.5 * want_d2 / l**2)
+        assert got.tobytes() == want.tobytes() and got.shape == want.shape
+        assert d2.tobytes() == want_d2.tobytes()  # the kernel values leave d2 as it was
+
+
 class TestDataSet:
     def test_empty_needs_dim(self):
         # an empty (0, d) array says its d; 1-D empty input and an (n, 0) array do not
@@ -179,8 +217,9 @@ class TestDataSet:
             DataSet(np.zeros((2, 0)), [1, 2])
 
     def test_append_returns_new_value(self):
-        d0 = DataSet(np.zeros((0, 1)), [])
-        d1 = d0.append([0.5], 1.0)
+        # a model's data grows only through with_observation, as a new value
+        gp0 = GpModel.empty(KernelConfig(), 0.1, 1)
+        d0, d1 = gp0.data, gp0.with_observation([0.5], 1.0).data
         assert len(d0) == 0 and len(d1) == 1
         assert d1.inputs[0, 0] == 0.5 and d1.targets[0] == 1.0
         assert not d1.inputs.flags.writeable and not d1.targets.flags.writeable
@@ -196,8 +235,6 @@ class TestDataSet:
         # only the new pair is checked; a rejected one leaves the set and its model as they were
         data = DataSet([[0.0, 0.0], [1.0, 0.5]], [1.0, 2.0])
         snapshot = data.inputs.tobytes(), data.targets.tobytes()
-        with pytest.raises(ValueError, match=message):
-            data.append(x, y)
         gp = GpModel(KernelConfig(), 0.1, data)
         q = np.array([[0.5, 0.5], [0.5, 0.5]])
         before = gp.posterior_batch(q)
@@ -356,6 +393,20 @@ class TestPosterior:
         gp = GpModel(KernelConfig(), 0.1, DataSet([[0.0, 1.0]], [0.5]))
         means, variances = gp.posterior_batch(np.zeros((0, 2)))
         assert means.shape == variances.shape == (0,)
+
+    @pytest.mark.parametrize("points,shape", [
+        (np.zeros((3, 0)), (3, 0)),
+        ([], (1, 0)),  # a 1-D argument is one point, here one with no coordinates
+        ([[], []], (2, 0)),
+    ])
+    def test_rows_without_coordinates_rejected(self, points, shape):
+        # only an input with no rows takes the model's dimension
+        gp = GpModel(KernelConfig(), 0.1, DataSet([[0.0, 1.0]], [0.5]))
+        message = re.escape(f"query points have no dimension, got shape {shape}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            gp.posterior_batch(points)
+        with pytest.raises(ValueError, match="^border points have no dimension"):
+            gp.schur_complement(points)
 
     def test_dimension_mismatch_rejected(self):
         gp = GpModel.empty(KernelConfig(), 0.1, dim=2)
@@ -656,6 +707,77 @@ class TestIncrementalUpdate:
                 _, cur = gp.posterior_batch(probes)
                 assert np.all(cur <= prev + 1e-9)
                 prev = cur
+
+
+def grown_model(rng, n, dim=2):
+    """A model grown by n appends from empty, so its buffers have room for the next row."""
+    X = rng.uniform(-2, 2, size=(n + 2, dim))
+    y = rng.normal(size=n + 2)
+    model = GpModel.empty(KernelConfig(signal_variance=0.8, length_scale=0.7), 0.05, dim=dim)
+    for x, t in zip(X[:n], y[:n]):
+        model = model.with_observation(x, t)
+    return model, X[n:], y[n:]
+
+
+class TestStorage:
+    """The inputs and targets live in capacity-doubling buffers beside the factor."""
+
+    def test_in_place_append_shares_the_buffer(self):
+        # 5 points in a buffer of 7 rows: the next append writes row 5 in place
+        model, X, y = grown_model(np.random.default_rng(60), 5)
+        child = model.with_observation(X[0], y[0])
+        _, inputs, targets = child._spare[0]  # the buffers the child's next append may write
+        assert np.shares_memory(child.data.inputs, inputs)
+        assert np.shares_memory(child.data.targets, targets)
+        assert np.shares_memory(child.data.inputs, model.data.inputs)
+        assert np.shares_memory(child.data.targets, model.data.targets)
+        assert np.array_equal(child.data.inputs[:5], model.data.inputs)
+        assert child.data.inputs[5].tobytes() == X[0].tobytes()
+        assert child.data.targets[5] == y[0]
+
+    def test_branching_append_copies(self):
+        model, X, y = grown_model(np.random.default_rng(61), 5)
+        first = model.with_observation(X[0], y[0])
+        snapshot = first.data.inputs.tobytes(), first.data.targets.tobytes()
+        second = model.with_observation(X[1], y[1])
+        assert not np.shares_memory(second.data.inputs, first.data.inputs)
+        assert not np.shares_memory(second.data.targets, first.data.targets)
+        assert (first.data.inputs.tobytes(), first.data.targets.tobytes()) == snapshot
+        assert np.array_equal(second.data.inputs[:5], model.data.inputs)
+        assert second.data.inputs[5].tobytes() == X[1].tobytes()
+        assert second.data.targets[5] == y[1]
+
+    def test_views_are_read_only(self):
+        model, X, y = grown_model(np.random.default_rng(62), 5)
+        for data in (model.data, model.with_observation(X[0], y[0]).data):
+            assert not data.inputs.flags.writeable and not data.targets.flags.writeable
+            with pytest.raises(ValueError):
+                data.inputs[0, 0] = 5.0
+            with pytest.raises(ValueError):
+                data.targets[0] = 5.0
+
+    def test_queries_and_appends_keep_stored_and_caller_bytes(self):
+        # the solves that overwrite their right-hand side own it; stored rows and
+        # the caller's arrays keep their bytes
+        rng = np.random.default_rng(63)
+        X, y = rng.uniform(-2, 2, size=(9, 2)), rng.normal(size=9)
+        data = DataSet(X, y)
+        model = GpModel(KernelConfig(signal_variance=0.8, length_scale=0.7), 0.05, data)
+        grown = model.with_observation(rng.uniform(-2, 2, size=2), 0.3)
+        row = rng.uniform(-2, 2, size=(1, 2))
+        repeated, rows = np.repeat(row, 4, axis=0), rng.uniform(-2, 2, size=(4, 2))
+        args = [X, y, repeated, rows]
+        owned = [m.data.inputs for m in (model, grown)] + [m.data.targets for m in (model, grown)]
+        before = [a.tobytes() for a in args + owned]
+        for m in (model, grown):
+            m.posterior_batch(repeated)
+            m.posterior_batch(rows)
+            m.schur_complement(rows)
+            m.extended_log_det(rows[:2])
+            m.with_observation(row[0], 0.1)  # reuses the repeated query's column
+            m.with_observation(rows[0], 0.2)  # a branch, solved afresh
+        select_exhaustive(grown, CandidateSet(rows))
+        assert [a.tobytes() for a in args + owned] == before
 
 
 class TestLogDet:

@@ -366,9 +366,9 @@ class TestWorkPerSelection:
             dists.append((len(rows), len(cols)))
             return sq_dist(rows, cols)
 
-        def counted_solve(chol, rhs, trans=False):
+        def counted_solve(chol, rhs, trans=False, overwrite_b=False):
             solves.append((rhs.shape, rhs.flags.f_contiguous))
-            return solve(chol, rhs, trans)
+            return solve(chol, rhs, trans, overwrite_b)
 
         def counted_argwhere(a):
             argwheres.append(a.shape)
