@@ -135,8 +135,8 @@ class KernelConfig:
     def __post_init__(self):
         if not (0 < self.signal_variance < np.inf):
             raise ValueError(f"signal_variance must be finite and > 0, got {self.signal_variance}")
-        if not (0 < self.length_scale < np.inf):
-            raise ValueError(f"length_scale must be finite and > 0, got {self.length_scale}")
+        if not (0 < self.length_scale and self.length_scale * self.length_scale < np.inf):
+            raise ValueError(f"length_scale must be > 0 with finite square, got {self.length_scale}")
         if not (0 <= self.jitter < np.inf):
             raise ValueError(f"jitter must be finite and >= 0, got {self.jitter}")
 
@@ -158,8 +158,8 @@ class DataSet:
     """
 
     def __init__(self, inputs, targets):
-        inputs = _as_rows(inputs, None, "inputs")
-        targets = np.asarray(targets, dtype=float).reshape(-1)
+        inputs = _as_rows(inputs, None, "inputs").copy()  # the caller keeps its own arrays
+        targets = np.array(targets, dtype=float).reshape(-1)
         if inputs.shape[0] != targets.shape[0]:
             raise ValueError(
                 f"{inputs.shape[0]} inputs but {targets.shape[0]} targets"
@@ -321,8 +321,9 @@ class GpModel:
         """Means and variances at many query points, shape (n,) each.
 
         One row repeated (an action grid under additive control) is solved
-        against the factor once, and its variance goes to every copy; the
-        mean is still taken per row. Any other rows are solved as given.
+        against the factor once, and its variance goes to every copy; its
+        means come from a (4 + n mod 4)-row product with the bits of the
+        n-row one (README). Any other rows are solved as given.
         A 1-D argument is one point.
         Variances are clamped to [0, prior_variance]; conditioning on data
         can only shrink them, so anything outside is round-off.
@@ -333,8 +334,11 @@ class GpModel:
             return np.zeros(n), np.full(n, kappa)
         repeated = (points == points[:1]).all()
         k = self.kernel.cross(self.data.inputs, points[:1] if repeated else points)
-        # np.repeat keeps C order and so the bits of k(X, points).T @ alpha
-        means = (np.repeat(k, n, axis=1) if repeated else k).T @ self._alpha
+        if repeated and n >= 4:  # BLAS gives each group of 4 rows one sum, the n % 4 tail its own
+            r = np.repeat(k, 4 + n % 4, axis=1).T @ self._alpha
+            means = np.append(np.full(n - n % 4, r[0]), r[4:])
+        else:  # np.repeat keeps C order and so the bits of k(X, points).T @ alpha
+            means = (np.repeat(k, n, axis=1) if repeated else k).T @ self._alpha
         w = solve_triangular(self._chol, k, overwrite_b=True)
         variances = (kappa - np.add.reduce(w * w, axis=0)).clip(0.0, kappa)
         if repeated:  # keep the column an append of this row needs, with the same bits

@@ -155,14 +155,14 @@ class ObservationChannel:
     """Seeded additive-Gaussian measurement channel.
 
     noise_variance is the variance of the per-component noise; zero means
-    the exact plant output is returned without consuming randomness.
+    the exact plant output is returned, and the channel holds no generator.
     """
 
     def __init__(self, noise_variance: float = 0.0, seed=None):
         if not (0 <= noise_variance < np.inf):
             raise ValueError(f"noise_variance must be finite and >= 0, got {noise_variance}")
         self.noise_variance = float(noise_variance)
-        self._rng = np.random.default_rng(seed)
+        self._rng = np.random.default_rng(seed) if self.noise_variance > 0 else None
 
     def observe(self, plant) -> np.ndarray:
         y = plant.output()

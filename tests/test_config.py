@@ -185,6 +185,13 @@ class TestFieldErrors:
         )
         assert field == "kernel.signal_variance"
 
+    @pytest.mark.parametrize("scale", [1.35e154, 1e155])
+    def test_length_scale_square_must_be_finite(self, scale):
+        raw = {"scenario": "logistic_linear", "kernel": {"length_scale": scale}}
+        assert self.field_of(raw) == "kernel.length_scale"
+        raw["kernel"]["length_scale"] = 1.34e154
+        assert resolve_config(raw)["kernel"]["length_scale"] == 1.34e154
+
     def test_cosine_wrong_r(self):
         field = self.field_of({"scenario": "logistic_nonlinear", "plant": {"r_param": 3.5}})
         assert field == "plant.r_param"

@@ -1,6 +1,8 @@
 """GP regression layer: kernel, data set, posterior, bordered log-dets."""
 
+import os
 import re
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -31,6 +33,18 @@ EXP_HALF = 0.6065306597126334       # exp(-0.5)
 MEAN_SELF = 0.9090909090909091      # 1 / 1.1
 VAR_SELF = 0.19090909090909103      # 1.1 - 1/1.1
 LOGDET_PAIR = -0.17183209348270312  # ln(1.21 - exp(-1))
+
+
+_NOISE_FREE_MODELS = {}
+
+
+def noise_free_model(M):
+    """A noise-free 2-D model of M seeded points; |alpha| is large, so another sum order moves bits."""
+    if M not in _NOISE_FREE_MODELS:
+        rng = np.random.default_rng(M)
+        data = DataSet(rng.uniform(-2, 2, size=(M, 2)), rng.normal(size=M))
+        _NOISE_FREE_MODELS[M] = GpModel(KernelConfig(signal_variance=0.7), 0.0, data)
+    return _NOISE_FREE_MODELS[M]
 
 
 def reference_posterior(kernel, noise, X, y, q):
@@ -162,11 +176,20 @@ class TestKernel:
             {"length_scale": np.nan},
             {"jitter": np.inf},
             {"jitter": np.nan},
+            {"length_scale": 1.35e154},
+            {"length_scale": 1e155},
         ],
     )
     def test_invalid_parameters_rejected(self, kwargs):
         with pytest.raises(ValueError):
             KernelConfig(**kwargs)
+
+    def test_largest_length_scale_kept(self):
+        # the kernel divides by l * l: 1.35e154 and above are rejected, since every
+        # cross then raised OverflowError; 1.34e154 squares to a finite 1.7956e308
+        scale = 1.34e154
+        k = KernelConfig(signal_variance=0.5, length_scale=scale)
+        assert k.cross([[0.0], [3.0]], [[1.0]]).tolist() == [[0.5], [0.5]]
 
 
 # any finite float, the largest included, so that differences and squares overflow
@@ -193,8 +216,8 @@ def point_pair(draw):
 
 class TestKernelHelpers:
     @settings(derandomize=True, deadline=None, max_examples=300)
-    # l stays below 1e154: l**2 of a larger Python float raises OverflowError in both forms
-    @given(point_pair(), st.floats(1e-300, 1e300), st.floats(1e-300, 1e150))
+    # l up to the largest scale KernelConfig accepts, whose square is still finite
+    @given(point_pair(), st.floats(1e-300, 1e300), st.floats(1e-300, 1.34e154))
     def test_same_bits_as_the_first_formulas(self, pair, a, l):
         # the in-place helpers against a * exp(-0.5 * d2 / l^2) over a zero-started sum
         rows, cols = pair
@@ -245,6 +268,17 @@ class TestDataSet:
         after = gp.posterior_batch(q)
         assert before[0].tobytes() == after[0].tobytes()
         assert before[1].tobytes() == after[1].tobytes()
+
+    def test_caller_arrays_are_copied(self):
+        # the set copies its arrays: the caller's stay writable, and a later write
+        # to them changes neither the stored targets nor the model solved from them
+        X, y = np.array([[0.0], [1.0]]), np.array([1.0, 2.0])
+        gp = GpModel(KernelConfig(), 0.1, DataSet(X, y))
+        before = gp.posterior_batch([[0.5]])[0].tobytes()
+        X[0, 0], y[0] = 5.0, -3.0
+        assert X.flags.writeable and y.flags.writeable
+        assert gp.data.inputs.tolist() == [[0.0], [1.0]] and gp.data.targets.tolist() == [1.0, 2.0]
+        assert gp.posterior_batch([[0.5]])[0].tobytes() == before
 
     def test_inputs_are_read_only(self):
         d = DataSet([[0.0], [1.0]], [0.0, 1.0])
@@ -355,6 +389,40 @@ class TestPosterior:
         Q = rows if distinct == 101 else rows[rng.integers(0, distinct, size=101)]
         means, _ = gp.posterior_batch(Q)
         assert means.tobytes() == (gp.kernel.cross(X, Q).T @ gp._alpha).tobytes()
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(st.integers(1, 1100), st.integers(1, 130), st.integers(0, 2**32 - 1))
+    def test_repeated_row_means_keep_the_n_row_bits(self, M, n, seed):
+        # the (4 + n mod 4)-row product against the n-row one it stands for, for
+        # n, n + 1, n + 2 and n + 3 copies: every residue mod 4 on one model
+        gp = noise_free_model(M)
+        row = np.random.default_rng(seed).uniform(-2, 2, size=(1, 2))
+        k = gp.kernel.cross(gp.data.inputs, row)
+        for copies in range(n, n + 4):
+            means, _ = gp.posterior_batch(np.repeat(row, copies, axis=0))
+            assert means.tobytes() == (np.repeat(k, copies, axis=1).T @ gp._alpha).tobytes()
+
+    def test_repeated_row_means_above_4096_copies(self):
+        # the same bits above 4096 copies, in a fresh interpreter with one BLAS thread.
+        # With more, OpenBLAS splits an n-row product this large between its threads
+        # and each share ends in tail rows of its own, so the reference's bits there
+        # depend on the thread count (the small product stays single-threaded)
+        script = (
+            "import numpy as np\n"
+            "from dualgp.gp import DataSet, GpModel, KernelConfig\n"
+            "rng = np.random.default_rng(1100)\n"
+            "data = DataSet(rng.uniform(-2, 2, size=(1100, 2)), rng.normal(size=1100))\n"
+            "gp, row = GpModel(KernelConfig(signal_variance=0.7), 0.0, data), np.array([[0.3, -0.7]])\n"
+            "k = gp.kernel.cross(gp.data.inputs, row)\n"
+            "for n in range(4097, 4101):\n"
+            "    means, _ = gp.posterior_batch(np.repeat(row, n, axis=0))\n"
+            "    assert means.tobytes() == (np.repeat(k, n, axis=1).T @ gp._alpha).tobytes(), n\n"
+        )
+        src = os.path.dirname(os.path.dirname(gp_module.__file__))
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     def test_repeated_rows_share_one_variance(self):
         kern = KernelConfig(signal_variance=0.8, length_scale=0.9, jitter=0.0)

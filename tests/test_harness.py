@@ -345,6 +345,13 @@ class TestCli:
         assert "config error: action_grid.step: (max - min) / step must be < 1000000" in err
         assert "Traceback" not in err
 
+    def test_validate_exit_1_on_a_length_scale_without_a_finite_square(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path, {"scenario": "logistic_linear", "kernel": {"length_scale": 1e155}})
+        assert main(["validate", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "config error: kernel.length_scale: must have a finite square, got 1e+155" in err
+        assert "Traceback" not in err
+
     def test_validate_exit_1_on_lookahead(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path, {"scenario": "cart_benchmark", "lookahead": 1})
         assert main(["validate", cfg]) == 1

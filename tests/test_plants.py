@@ -186,6 +186,17 @@ class TestObservationChannel:
         c = ObservationChannel(noise_variance=0.01, seed=6)
         assert [c.observe(p)[0] for _ in range(20)] != seq_a
 
+    def test_seeded_draws_are_frozen(self):
+        # a noisy channel seeds and draws as it always has; the cart_dual goldens rest on it
+        p, c = LogisticPlant(state=0.5), CartPlant(state=[0.1, 0.2, 0.3, 0.4])
+        logistic = ObservationChannel(noise_variance=0.01, seed=5)
+        assert [logistic.observe(p)[0] for _ in range(3)] == [
+            0.41980685747465524, 0.36756410043718546, 0.47516383779047516]
+        cart = ObservationChannel(noise_variance=0.5, seed=2)
+        assert [cart.observe(c).tolist() for _ in range(2)] == [
+            [0.23368092827245662, -0.16963896782573562],
+            [-0.19208003259335157, -1.5263781423104135]]
+
     def test_empirical_noise_variance(self):
         p = LogisticPlant(state=0.5)
         ch = ObservationChannel(noise_variance=0.01, seed=7)

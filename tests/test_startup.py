@@ -31,6 +31,20 @@ def test_episode_runs_without_scipy_linalg():
     )
 
 
+@pytest.mark.parametrize("scenario,loaded", [("logistic_linear", False), ("cart_dual", True)])
+def test_numpy_random_loads_only_for_noise(scenario, loaded):
+    # numpy imports numpy.random on first use; a noise-free channel holds no
+    # generator, so a noise-free episode never pays for that import
+    run_fresh(
+        "import sys\n"
+        "from dualgp.config import resolve_config\n"
+        "from dualgp.harness import run_scenario\n"
+        f"result = run_scenario(resolve_config({{'scenario': {scenario!r}, 'steps': 5}}))\n"
+        "assert result.aborted is None and len(result.records) == 5\n"
+        f"assert ('numpy.random' in sys.modules) is {loaded}\n"
+    )
+
+
 @pytest.mark.parametrize("first", ["dualgp", "scipy.linalg"])
 def test_scipy_linalg_shares_the_loaded_extension(first):
     second = "scipy.linalg" if first == "dualgp" else "dualgp"
