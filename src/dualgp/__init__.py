@@ -9,7 +9,6 @@ from .control import (
     EpisodeAborted,
     StepRecord,
     Weights,
-    make_reference,
     run_benchmark_episode,
     run_episode,
     select_action,
@@ -56,7 +55,6 @@ __all__ = [
     "compute_slice",
     "info_score",
     "load_config",
-    "make_reference",
     "resolve_config",
     "run_benchmark_episode",
     "run_episode",

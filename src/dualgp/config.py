@@ -239,8 +239,10 @@ def resolve_config(raw: dict) -> dict:
             f"(max - min) / step must be < {_MAX_GRID_INTERVALS}, got {intervals:.3g}",
         )
     scale = cfg["kernel"]["length_scale"]
-    if not scale * scale < math.inf:  # the kernel divides by the square
-        raise ConfigError("kernel.length_scale", f"must have a finite square, got {scale}")
+    square = scale * scale  # the kernel divides by it
+    if not 0 < square < math.inf:
+        kind = "finite" if square else "nonzero"
+        raise ConfigError("kernel.length_scale", f"must have a {kind} square, got {scale}")
     if w["w1"] + min(w["w2_start"], w["w2_end"]) <= 0:
         raise ConfigError("weights.w1", "w1 + w2(t) must stay positive for all t")
     cfg["initial_data"] = _initial_data(cfg)

@@ -34,7 +34,6 @@ __all__ = [
     "CartSideInfoModel",
     "ActionChoice",
     "StepRecord",
-    "make_reference",
     "select_action",
     "run_episode",
     "run_benchmark_episode",
@@ -105,10 +104,11 @@ class Weights:
 class IoModel:
     """Shared shape of the learned input/output maps.
 
-    Each structure learns one scalar map with one GP, held in the list
-    ``gps``. Subclasses define how a (current output, action) pair becomes
-    its input row, what scalar it is trained on, and how its posterior turns
-    back into a prediction of the next output; update() replaces the GP.
+    Each structure learns one scalar map with one GP, held in the one-item
+    list ``gps``. Subclasses define how a (current output, action) pair
+    becomes its input row, what scalar it is trained on, and how its
+    posterior turns back into a prediction of the next output; update()
+    replaces the GP.
     """
 
     def __init__(self, gps, obs_dim: int):
@@ -124,12 +124,12 @@ class IoModel:
     def assemble(self, y, actions, raw_means, raw_vars):
         raise NotImplementedError
 
-    # subclasses: the vector the objective compares against the reference,
-    # shape (n_actions, ref_dim)
+    # subclasses: the number per action that the objective compares with the
+    # reference, shape (n_actions,)
     def tracking_values(self, y, actions, means):
-        return means
+        return means[:, 0]
 
-    # subclasses: per-transition (input, target) pairs, one target per GP
+    # subclasses: one transition's GP input row and scalar target
     def training_pair(self, y, u, y_next):
         raise NotImplementedError
 
@@ -150,10 +150,11 @@ class IoModel:
         u = np.atleast_1d(np.asarray(u, dtype=float))
         if u.shape != (1,) or not math.isfinite(u[0]):
             raise ValueError(f"an update takes one finite scalar action, got {u}")
-        x, targets = self.training_pair(
+        x, target = self.training_pair(
             np.asarray(y, dtype=float).reshape(-1), u, np.asarray(y_next, dtype=float).reshape(-1)
         )
-        self.gps = [gp.with_observation(x, t) for gp, t in zip(self.gps, targets)]
+        (gp,) = self.gps
+        self.gps = [gp.with_observation(x, target)]
 
 
 class AdditiveControlModel(IoModel):
@@ -175,7 +176,7 @@ class AdditiveControlModel(IoModel):
         return raw_means[:, None] + actions, raw_vars[:, None]
 
     def training_pair(self, y, u, y_next):
-        return y, y_next - u
+        return y, y_next[0] - u[0]
 
 
 class BlackBoxModel(IoModel):
@@ -191,7 +192,7 @@ class BlackBoxModel(IoModel):
         return raw_means[:, None], raw_vars[:, None]
 
     def training_pair(self, y, u, y_next):
-        return np.concatenate([y, u]), y_next
+        return np.concatenate([y, u]), y_next[0]
 
 
 class CartSideInfoModel(IoModel):
@@ -224,10 +225,10 @@ class CartSideInfoModel(IoModel):
     def tracking_values(self, y, actions, means):
         # two-step position: the known kinematic step plus one more using
         # the predicted velocity
-        return (means[:, 0] + self.timestep * means[:, 1])[:, None]
+        return means[:, 0] + self.timestep * means[:, 1]
 
     def training_pair(self, y, u, y_next):
-        return np.array([y[1], u[0]]), y_next[1:2]
+        return np.array([y[1], u[0]]), y_next[1]
 
 
 @dataclass(frozen=True)
@@ -248,7 +249,7 @@ class StepRecord:
     step: int
     action: np.ndarray
     observation: np.ndarray
-    reference: np.ndarray
+    reference: float
     predicted_mean: np.ndarray
     predicted_variance: np.ndarray
     objective_value: float
@@ -256,47 +257,29 @@ class StepRecord:
     estimation_error: float
 
 
-def _finite_reference(value, what: str) -> np.ndarray:
-    r = np.atleast_1d(np.asarray(value, dtype=float))
-    if not np.all(np.isfinite(r)):
-        raise ValueError(f"{what} must be finite, got {r}")
-    return r
+def _finite_reference(value) -> float:
+    """The reference as a float: one finite real number, or ValueError."""
+    r = np.asarray(value)
+    if r.shape != () or r.dtype.kind not in "iuf" or not math.isfinite(r):
+        raise ValueError(f"reference must be one finite real number, got {value!r}")
+    return float(r)
 
 
-def make_reference(value):
-    """Normalize a reference into a callable t -> finite vector.
-
-    Accepts a scalar or vector (held constant) or a callable returning
-    the per-step value, which is checked at each step.
-    """
-    if callable(value):
-        return lambda t: _finite_reference(value(t), f"reference at step {t}")
-    const = _finite_reference(value, "reference")
-    return lambda t: const
-
-
-def _score(io: IoModel, y, actions, r, w1: float, w2: float):
+def _score(io: IoModel, y, actions, r: float, w1: float, w2: float):
     """Objective of every action in the checked (n, 1) ``actions``, with its predictions."""
     y = np.asarray(y, dtype=float).reshape(-1)
     means, variances = io._predict(y, actions)
-    tracked = io.tracking_values(y, actions, means)
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    if tracked.shape[1] != r.shape[0]:
-        raise ValueError(
-            f"reference has dimension {r.shape[0]}, tracked output has {tracked.shape[1]}"
-        )
-    # a divergent prediction may overflow the squares; its distance is inf then.
-    # The row norms as np.linalg.norm(d, axis=1) takes them, bit for bit
+    # sqrt(d * d), not abs(d): a distance above about 1.34e154 reads inf, the value traces keep
     with np.errstate(over="ignore"):
-        d = tracked - r[None, :]
-        track_err = np.sqrt(np.add.reduce(d * d, axis=1))
+        d = io.tracking_values(y, actions, means) - r
+        track_err = np.sqrt(d * d)
     scores = w1 * track_err - w2 * np.add.reduce(variances, axis=1)
     return scores, means, variances
 
 
 def select_action(io: IoModel, y, r, phi: ActionSet, w1: float, w2: float) -> ActionChoice:
-    """Best action in phi by the planning objective; ties take the lowest index."""
-    scores, means, variances = _score(io, y, phi.actions, r, w1, w2)
+    """Best action in phi for the finite real reference ``r``; ties take the lowest index."""
+    scores, means, variances = _score(io, y, phi.actions, _finite_reference(r), w1, w2)
     idx = int(scores.argmin())
     return ActionChoice(
         index=idx,
@@ -307,22 +290,21 @@ def select_action(io: IoModel, y, r, phi: ActionSet, w1: float, w2: float) -> Ac
     )
 
 
-def _finish_record(t, action, y_next, r_t, mean, variance, score):
-    """Step t's record; ``r_t`` is make_reference's finite vector for step t."""
-    # the reference addresses the leading output components (the cart
-    # tracks position only, its observation also carries velocity)
-    tracked = y_next[: r_t.shape[0]]
-    # a divergent step may overflow the squares; its error is inf then. The
-    # norms as np.linalg.norm takes them for a vector, bit for bit
+def _finish_record(t, action, y_next, r, mean, variance, score):
+    """Step t's record; ``r`` is the checked float reference."""
+    # the reference addresses the first output component (the cart tracks
+    # position only, its observation also carries velocity). A divergent
+    # step may overflow the squares; its error is inf then, so sqrt(d * d),
+    # not abs(d). The estimation error is np.linalg.norm's, bit for bit
     with np.errstate(over="ignore"):
-        tracking, estimation = tracked - r_t, y_next - mean
-        tracking_error = math.sqrt(tracking.dot(tracking))
+        tracking, estimation = y_next[0] - r, y_next - mean
+        tracking_error = math.sqrt(tracking * tracking)
         estimation_error = math.sqrt(estimation.dot(estimation))
     return StepRecord(
         step=t,
         action=action,
         observation=y_next,
-        reference=r_t,
+        reference=r,
         predicted_mean=mean,
         predicted_variance=variance,
         objective_value=score,
@@ -335,26 +317,26 @@ def run_episode(plant, io: IoModel, phi: ActionSet, reference, weights: Weights,
                 steps: int, seed=None, noise_variance: float = 0.0):
     """Closed-loop run of the learning controller for a fixed number of steps.
 
-    Deterministic given the seed: the only randomness is the observation
-    noise stream. Returns one StepRecord per step; the io model keeps the
-    final GPs. A plant divergence or singular GP update at step t raises
-    EpisodeAborted with the records of steps 0..t-1, plus step t's own
-    record when only its GP update failed.
+    ``reference`` is the set point, one finite real number. Deterministic
+    given the seed: the only randomness is the observation noise stream.
+    Returns one StepRecord per step; the io model keeps the final GP. A
+    plant divergence or singular GP update at step t raises EpisodeAborted
+    with the records of steps 0..t-1, plus step t's own record when only
+    its GP update failed.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    ref = make_reference(reference)
+    r = _finite_reference(reference)
     channel = ObservationChannel(noise_variance, seed=seed)
     y = channel.observe(plant)
     records = []
     try:
         for t in range(steps):
-            r_t = ref(t)
-            choice = select_action(io, y, r_t, phi, weights.w1, weights.w2_at(t))
+            choice = select_action(io, y, r, phi, weights.w1, weights.w2_at(t))
             plant.step(float(choice.action[0]))
             y_next = channel.observe(plant)
             records.append(_finish_record(
-                t, choice.action, y_next, r_t,
+                t, choice.action, y_next, r,
                 choice.predicted_mean, choice.predicted_variance, choice.objective_value,
             ))
             io.update(y, choice.action, y_next)

@@ -135,8 +135,11 @@ class KernelConfig:
     def __post_init__(self):
         if not (0 < self.signal_variance < np.inf):
             raise ValueError(f"signal_variance must be finite and > 0, got {self.signal_variance}")
-        if not (0 < self.length_scale and self.length_scale * self.length_scale < np.inf):
-            raise ValueError(f"length_scale must be > 0 with finite square, got {self.length_scale}")
+        # a negative scale has a positive square; a tiny one's square is 0
+        if not (0 < self.length_scale and 0 < self.length_scale * self.length_scale < np.inf):
+            raise ValueError(
+                f"length_scale must be > 0 with a finite, nonzero square, got {self.length_scale}"
+            )
         if not (0 <= self.jitter < np.inf):
             raise ValueError(f"jitter must be finite and >= 0, got {self.jitter}")
 
@@ -147,7 +150,8 @@ class KernelConfig:
     def _from_sq_dist(self, d2: np.ndarray) -> np.ndarray:
         """Kernel values a * exp(-0.5 * d2 / l^2) at squared distances ``d2``, in one new array."""
         k = np.multiply(d2, -0.5)
-        k /= self.length_scale**2
+        with np.errstate(over="ignore"):  # far points overflow to -inf: kernel value 0
+            k /= self.length_scale**2
         return np.multiply(np.exp(k, out=k), self.signal_variance, out=k)
 
 
@@ -244,13 +248,18 @@ class GpModel:
             raise _singular_error(self.data.inputs) from None
 
     def _set_factor(self, bufs):
-        """Adopt the (factor, inputs, targets) buffers of ``data``; alpha = C^{-1} y."""
+        """Adopt the (factor, inputs, targets) buffers of ``data``; alpha = C^{-1} y.
+
+        Targets near the float maximum can overflow alpha: FactorizationError.
+        """
         self._spare = [bufs]  # the first append's right to write row M in place
         self._chol = chol = bufs[0][: len(self.data)]
         self._solved = None  # (row bytes, w) of this factor's last one-row query solve
         if len(self.data) > 0:
             z = solve_triangular(chol, self.data.targets)
             self._alpha = solve_triangular(chol, z, trans=True, overwrite_b=True)
+            if not np.isfinite(self._alpha).all():
+                raise FactorizationError("training targets overflow alpha = C^{-1} y")
         else:
             self._alpha = np.zeros(0)
 

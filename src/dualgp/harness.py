@@ -167,10 +167,10 @@ def run_scenario(cfg: dict) -> EpisodeResult:
     aborted = None
     try:
         if cfg["selection"] == "benchmark":
-            records = run_benchmark_episode(plant, io, phi, cfg["target"], cfg["steps"])
+            records = run_benchmark_episode(plant, io, phi, cfg["target"][0], cfg["steps"])
         else:
             records = run_episode(
-                plant, io, phi, cfg["target"], Weights(**cfg["weights"]), cfg["steps"],
+                plant, io, phi, cfg["target"][0], Weights(**cfg["weights"]), cfg["steps"],
                 seed=cfg["seed"], noise_variance=cfg["noise_variance"],
             )
     except EpisodeAborted as exc:
@@ -233,7 +233,8 @@ def compute_slice(cfg: dict, at_u: float, coord: int, lo: float, hi: float, n: i
         raise ConfigError("slice.n", f"must be >= 2, got {n}")
     if not hi > lo:
         raise ConfigError("slice.max", f"must exceed min={lo}, got {hi}")
-    obs_dim = 1 if cfg["plant"]["kind"] == "logistic" else 2
+    plant = build_plant(cfg)  # an instance of its own, for its exact map
+    obs_dim = plant.output().shape[0]
     if not 0 <= coord < obs_dim:
         raise ConfigError("slice.coord", f"must be in [0, {obs_dim}), got {coord}")
     if not np.isfinite(at_u):
@@ -241,7 +242,6 @@ def compute_slice(cfg: dict, at_u: float, coord: int, lo: float, hi: float, n: i
     result = run_scenario(cfg)
     if result.aborted:
         return result, []
-    plant = build_plant(cfg)  # fresh instance purely for its exact map
     rows = []
     for x in np.linspace(lo, hi, n):
         state = np.array(cfg["x0"], dtype=float)

@@ -192,6 +192,16 @@ class TestFieldErrors:
         raw["kernel"]["length_scale"] = 1.34e154
         assert resolve_config(raw)["kernel"]["length_scale"] == 1.34e154
 
+    @pytest.mark.parametrize("scale", [1e-170, 1.5e-162])
+    def test_length_scale_square_must_be_nonzero(self, scale):
+        # the kernel divided by a square of 0 and read NaN at zero distance
+        raw = {"scenario": "logistic_linear", "kernel": {"length_scale": scale}}
+        with pytest.raises(ConfigError, match=r"must have a nonzero square, got "):
+            resolve_config(raw)
+        assert self.field_of(raw) == "kernel.length_scale"
+        raw["kernel"]["length_scale"] = 1.6e-162
+        assert resolve_config(raw)["kernel"]["length_scale"] == 1.6e-162
+
     def test_cosine_wrong_r(self):
         field = self.field_of({"scenario": "logistic_nonlinear", "plant": {"r_param": 3.5}})
         assert field == "plant.r_param"

@@ -1,5 +1,7 @@
 """Tests for the dual controller: I/O structures, objective, episode loops."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,6 @@ from dualgp.control import (
     CartSideInfoModel,
     EpisodeAborted,
     Weights,
-    make_reference,
     run_benchmark_episode,
     run_episode,
     select_action,
@@ -202,7 +203,8 @@ class TestPredictions:
         y = np.array([0.3, 0.7])
         means, _ = io.predict_batch(y, np.array([[2.0]]))
         tracked = io.tracking_values(y, np.array([[2.0]]), means)
-        assert tracked[0, 0] == pytest.approx(0.335 + 0.05 * means[0, 1])
+        assert tracked.shape == (1,)
+        assert tracked[0] == pytest.approx(0.335 + 0.05 * means[0, 1])
 
     def test_cart_update_trains_velocity_only(self):
         io = CartSideInfoModel(KERN, noise_variance=0.0, timestep=0.05)
@@ -275,7 +277,7 @@ class TestPredictions:
 
 
 class _GivenPrediction:
-    """A zero-variance model whose predictions are given rows, tracked as they are."""
+    """A zero-variance model whose predictions are given (n, 1) rows, tracked as they are."""
 
     def __init__(self, means):
         self.means = means
@@ -284,7 +286,7 @@ class _GivenPrediction:
         return self.means, np.zeros_like(self.means)
 
     def tracking_values(self, y, actions, means):
-        return means
+        return means[:, 0]
 
 
 # any finite float, the largest included, so that differences and squares overflow
@@ -297,32 +299,81 @@ def _vector(draw, size):
 
 
 class TestNorms:
-    """The loop's distances take np.linalg.norm's bits without its dispatch."""
+    """The loop's distances are sqrt(d * d): inf where the square overflows."""
 
     @settings(derandomize=True, deadline=None, max_examples=200)
-    @given(st.data(), st.integers(1, 5), st.integers(1, 3))
-    def test_scores_are_the_row_norms(self, data, n, width):
+    @given(st.data(), st.integers(1, 5))
+    def test_scores_are_the_row_norms(self, data, n):
         # w1 = 1, w2 = 0 and zero variances: each score is its tracking distance
-        means = _vector(data.draw, n * width).reshape(n, width)
-        r = _vector(data.draw, width)
+        means = _vector(data.draw, n)[:, None]
+        r = float(_vector(data.draw, 1)[0])
         scores, _, _ = control._score(_GivenPrediction(means), [0.0], np.zeros((n, 1)),
                                       r, 1.0, 0.0)
         with np.errstate(over="ignore"):
-            want = np.linalg.norm(means - r[None, :], axis=1)
+            d = means[:, 0] - r
+            want = np.sqrt(d * d)
         assert scores.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("mean,r", [(1e200, 0.0), (1.7e308, -1.7e308), (-1e155, 1e155)])
+    def test_an_overflowing_distance_scores_inf(self, mean, r):
+        # abs(d) would read 1e200 or 2e155 here; the distance has always read inf
+        scores, _, _ = control._score(_GivenPrediction(np.array([[mean], [r]])), [0.0],
+                                      np.zeros((2, 1)), r, 1.0, 0.0)
+        assert scores.tolist() == [np.inf, 0.0]
+
     @settings(derandomize=True, deadline=None, max_examples=200)
-    @given(st.data(), st.integers(1, 4))
+    @given(st.data(), st.integers(1, 2))
     def test_record_errors_are_the_vector_norms(self, data, width):
+        # tracking: the first output component against r; estimation: the whole output
         y_next, mean = _vector(data.draw, width), _vector(data.draw, width)
-        r = _vector(data.draw, data.draw(st.integers(1, width)))
+        r = float(_vector(data.draw, 1)[0])
         rec = control._finish_record(0, np.zeros(1), y_next, r, mean, np.zeros(width), 0.0)
         with np.errstate(over="ignore"):
-            tracking = float(np.linalg.norm(y_next[: len(r)] - r))
+            d = float(y_next[0] - r)
             estimation = float(np.linalg.norm(y_next - mean))
-        assert np.float64(rec.tracking_error).tobytes() == np.float64(tracking).tobytes()
+        assert np.float64(rec.tracking_error).tobytes() == np.float64(math.sqrt(d * d)).tobytes()
         assert np.float64(rec.estimation_error).tobytes() == np.float64(estimation).tobytes()
         assert type(rec.tracking_error) is type(rec.estimation_error) is float
+        assert rec.reference == r
+
+
+class _CountingPlant(LogisticPlant):
+    """Logistic plant that counts its steps."""
+
+    steps = 0
+
+    def step(self, u):
+        self.steps += 1
+        return super().step(u)
+
+
+class TestReference:
+    """The reference is one finite real number, checked before any plant step."""
+
+    @pytest.mark.parametrize("reference", [[0.8], [0.1, 0.2], lambda t: 0.8, np.nan, np.inf],
+                             ids=["one-item-list", "pair", "callable", "nan", "inf"])
+    @pytest.mark.parametrize("entry", ["run_episode", "run_benchmark_episode", "select_action"])
+    def test_anything_else_is_rejected(self, entry, reference):
+        plant = _CountingPlant(r_param=3.5, coupling="additive", state=0.1)
+        io, phi = _scalar_io(), ActionSet.from_grid(-1.0, 1.0, 0.5)
+        with pytest.raises(ValueError, match="^reference must be one finite real number, got "):
+            if entry == "run_episode":
+                run_episode(plant, io, phi, reference, Weights(1, 1, 1), steps=3)
+            elif entry == "run_benchmark_episode":
+                run_benchmark_episode(plant, io, phi, reference, steps=3)
+            else:
+                select_action(io, plant.output(), reference, phi, 1.0, 1.0)
+        assert plant.steps == 0 and plant.state == 0.1
+        assert len(io.gps[0].data) == 0
+
+    @pytest.mark.parametrize("reference", [0.8, 1, np.float32(0.5), np.int64(1), np.array(0.8)],
+                             ids=["float", "int", "float32", "int64", "0-d"])
+    def test_a_number_numpy_scalar_or_0d_array_is_taken(self, reference):
+        plant = _CountingPlant(r_param=3.5, coupling="additive", state=0.1)
+        records = run_episode(plant, _scalar_io(), ActionSet.from_grid(-1.0, 1.0, 0.5),
+                              reference, Weights(1, 1, 1), steps=2)
+        assert [type(r.reference) for r in records] == [float, float]
+        assert records[0].reference == float(reference) and plant.steps == 2
 
 
 class TestObjective:
@@ -423,28 +474,6 @@ class TestSelectAction:
             select_action(io, np.array([0.0]), 0.5, phi, 1.0, 1.0)
 
 
-class TestMakeReference:
-    def test_scalar_and_vector(self):
-        r = make_reference(0.8)
-        np.testing.assert_allclose(r(0), [0.8])
-        r2 = make_reference([0.1, 0.2])
-        np.testing.assert_allclose(r2(5), [0.1, 0.2])
-
-    def test_callable_passthrough(self):
-        r = make_reference(lambda t: 0.1 * t)
-        np.testing.assert_allclose(r(3), [0.3])
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            make_reference(np.nan)
-
-    def test_callable_checked_at_each_step(self):
-        r = make_reference(lambda t: np.inf if t == 2 else 0.5)
-        np.testing.assert_allclose(r(1), [0.5])
-        with pytest.raises(ValueError, match=r"^reference at step 2 must be finite, got \[inf\]"):
-            r(2)
-
-
 class TestRunEpisode:
     def _logistic_setup(self, r_param=3.5):
         kern = KernelConfig(signal_variance=0.5, length_scale=1.0, jitter=1e-9)
@@ -452,12 +481,6 @@ class TestRunEpisode:
         plant = LogisticPlant(r_param=r_param, coupling="additive", state=0.1)
         phi = ActionSet.from_grid(-1.0, 1.0, 0.02)
         return plant, io, phi
-
-    def test_nonfinite_callable_reference_stops_the_episode(self):
-        # a NaN reference scored every action NaN, so each step took index 0
-        plant, io, phi = self._logistic_setup()
-        with pytest.raises(ValueError, match=r"^reference at step 0 must be finite, got \[nan\]"):
-            run_episode(plant, io, phi, lambda t: np.nan, Weights(1, 1, 1, 0), steps=5)
 
     def test_single_step_bookkeeping(self):
         plant, io, phi = self._logistic_setup()
@@ -467,7 +490,7 @@ class TestRunEpisode:
         assert rec.step == 0
         assert len(io.gps[0].data) == 1
         np.testing.assert_allclose(rec.observation, plant.output())
-        np.testing.assert_allclose(rec.reference, [0.8])
+        assert rec.reference == 0.8
 
     def test_dataset_grows_per_step(self):
         plant, io, phi = self._logistic_setup()
@@ -656,7 +679,7 @@ class TestBenchmark:
     def test_tracked_quantity_comes_from_the_structure(self):
         class Mirrored(AdditiveControlModel):
             def tracking_values(self, y, actions, means):
-                return -means
+                return -means[:, 0]
 
         phi = ActionSet.from_grid(0.0, 1.0, 0.25)
         plain = run_benchmark_episode(_IdentityPlant(), _scalar_io(), phi, 0.6, steps=1)

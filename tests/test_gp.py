@@ -178,6 +178,9 @@ class TestKernel:
             {"jitter": np.nan},
             {"length_scale": 1.35e154},
             {"length_scale": 1e155},
+            {"length_scale": 1.5e-162},
+            {"length_scale": 1e-170},
+            {"length_scale": -1e-170},
         ],
     )
     def test_invalid_parameters_rejected(self, kwargs):
@@ -190,6 +193,17 @@ class TestKernel:
         scale = 1.34e154
         k = KernelConfig(signal_variance=0.5, length_scale=scale)
         assert k.cross([[0.0], [3.0]], [[1.0]]).tolist() == [[0.5], [0.5]]
+
+    def test_smallest_length_scale_kept(self):
+        # 1.6e-162 squares to the least subnormal, 1.5e-162 to 0; -d2 / (2 l^2)
+        # overflows to -inf at any distance, and the kernel value is 0 there
+        k = KernelConfig(signal_variance=0.5, length_scale=1.6e-162)
+        assert k.cross([[0.0], [1.0]], [[0.0]]).tolist() == [[0.5], [0.0]]
+
+    def test_far_points_have_kernel_value_zero(self):
+        # d2 = 1e308 is finite, d2 / (2 l^2) at l = 0.25 is not
+        k = KernelConfig(signal_variance=0.5, length_scale=0.25)
+        assert k.cross([[0.0], [1e154]], [[0.0]]).tolist() == [[0.5], [0.0]]
 
 
 # any finite float, the largest included, so that differences and squares overflow
@@ -216,8 +230,8 @@ def point_pair(draw):
 
 class TestKernelHelpers:
     @settings(derandomize=True, deadline=None, max_examples=300)
-    # l up to the largest scale KernelConfig accepts, whose square is still finite
-    @given(point_pair(), st.floats(1e-300, 1e300), st.floats(1e-300, 1.34e154))
+    # l over the scales KernelConfig accepts, whose square is nonzero and finite
+    @given(point_pair(), st.floats(1e-300, 1e300), st.floats(1.6e-162, 1.34e154))
     def test_same_bits_as_the_first_formulas(self, pair, a, l):
         # the in-place helpers against a * exp(-0.5 * d2 / l^2) over a zero-started sum
         rows, cols = pair
@@ -966,6 +980,18 @@ class TestFactorizationError:
             gp.posterior_batch(x[None, :])
         with pytest.raises(FactorizationError, match=rf"\({i}, {len(X)}\)"):
             gp.with_observation(x, 0.0)
+
+    def test_targets_that_overflow_alpha_raise(self):
+        # alpha = C^{-1} y is about y / 0.5 here: an inf alpha made every mean NaN
+        kern = KernelConfig(signal_variance=0.5, length_scale=1.0)
+        overflows = r"^training targets overflow alpha"
+        with pytest.raises(FactorizationError, match=overflows):
+            GpModel(kern, 0.0, DataSet([[0.0], [1.0]], [1.7e308, -1.7e308]))
+        with pytest.raises(FactorizationError, match=overflows):
+            GpModel.empty(kern, 0.0, 1).with_observation([0.0], -1.7e308)
+        gp = GpModel(kern, 0.0, DataSet([[0.0]], [0.8e308]))
+        with pytest.raises(FactorizationError, match=overflows):
+            gp.with_observation([1.0], -1.7e308)
 
     def test_noise_rescues_duplicates(self):
         kern = KernelConfig(signal_variance=1.0, length_scale=1.0, jitter=0.0)

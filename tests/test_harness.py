@@ -105,6 +105,15 @@ class TestRunScenario:
         assert info.value.field == "initial_data"
         assert "singular" in str(info.value)
 
+    def test_targets_near_the_float_maximum_abort_the_update(self):
+        # step 11 stores y = -1.55e308 as a target; alpha overflowed, every mean
+        # was NaN, argmin took u = 0 and the plant overflowed a step later
+        cfg = cfg_for("logistic_nonlinear", seed=24, kernel={"length_scale": 0.25})
+        result = run_scenario(cfg)
+        assert result.aborted == "step 11: training targets overflow alpha = C^{-1} y"
+        assert [r.step for r in result.records] == list(range(12))
+        assert result.records[-1].observation[0] < -1e308
+
     def test_summary_stays_finite_after_abort(self):
         cfg = cfg_for("logistic_nonlinear", initial_data=None)
         result = run_scenario(cfg)
@@ -350,6 +359,13 @@ class TestCli:
         assert main(["validate", cfg]) == 1
         err = capsys.readouterr().err
         assert "config error: kernel.length_scale: must have a finite square, got 1e+155" in err
+        assert "Traceback" not in err
+
+    def test_validate_exit_1_on_a_length_scale_whose_square_is_zero(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path, {"scenario": "logistic_linear", "kernel": {"length_scale": 1e-170}})
+        assert main(["validate", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "config error: kernel.length_scale: must have a nonzero square, got 1e-170" in err
         assert "Traceback" not in err
 
     def test_validate_exit_1_on_lookahead(self, tmp_path, capsys):
