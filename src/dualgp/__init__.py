@@ -23,7 +23,6 @@ from .harness import EpisodeResult, compute_slice, run_scenario, run_sweep, trai
 from .info import (
     CandidateSet,
     SelectionResult,
-    info_score,
     sample_candidates,
     select_exhaustive,
     select_max_variance,
@@ -53,7 +52,6 @@ __all__ = [
     "StepRecord",
     "Weights",
     "compute_slice",
-    "info_score",
     "load_config",
     "resolve_config",
     "run_benchmark_episode",

@@ -111,16 +111,15 @@ class IoModel:
     replaces the GP.
     """
 
-    def __init__(self, gps, obs_dim: int):
+    def __init__(self, gps):
         self.gps = list(gps)
-        self.obs_dim = obs_dim
 
     # subclasses: build the (n_actions, d_in) GP input rows for one output y
     def candidate_inputs(self, y, actions: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     # subclasses: turn the GP posterior, shape (n_actions,) each, into
-    # next-output mean/variance, shapes (n_actions, obs_dim)
+    # next-output mean/variance, shapes (n_actions, width of the observation)
     def assemble(self, y, actions, raw_means, raw_vars):
         raise NotImplementedError
 
@@ -135,7 +134,7 @@ class IoModel:
 
     def predict_batch(self, y, actions: np.ndarray):
         """Next-output posterior for every scalar action: (means, variances),
-        each of shape (n_actions, obs_dim)."""
+        each of shape (n_actions, width of the observation)."""
         y = np.asarray(y, dtype=float).reshape(-1)
         return self._predict(y, _as_rows(actions, 1, "actions"))
 
@@ -167,7 +166,7 @@ class AdditiveControlModel(IoModel):
     """
 
     def __init__(self, kernel: KernelConfig, noise_variance: float):
-        super().__init__([GpModel.empty(kernel, noise_variance, 1)], obs_dim=1)
+        super().__init__([GpModel.empty(kernel, noise_variance, 1)])
 
     def candidate_inputs(self, y, actions):
         return y[None, :].repeat(len(actions), axis=0)
@@ -183,7 +182,7 @@ class BlackBoxModel(IoModel):
     """No structural knowledge: the GP maps (y, u) directly to the next y."""
 
     def __init__(self, kernel: KernelConfig, noise_variance: float):
-        super().__init__([GpModel.empty(kernel, noise_variance, 2)], obs_dim=1)
+        super().__init__([GpModel.empty(kernel, noise_variance, 2)])
 
     def candidate_inputs(self, y, actions):
         return np.hstack([y[None, :].repeat(len(actions), axis=0), actions])
@@ -206,7 +205,7 @@ class CartSideInfoModel(IoModel):
     """
 
     def __init__(self, kernel: KernelConfig, noise_variance: float, timestep: float):
-        super().__init__([GpModel.empty(kernel, noise_variance, 2)], obs_dim=2)
+        super().__init__([GpModel.empty(kernel, noise_variance, 2)])
         if not (0 < timestep < np.inf):
             raise ValueError(f"timestep must be finite and > 0, got {timestep}")
         self.timestep = timestep
@@ -266,7 +265,7 @@ def _finite_reference(value) -> float:
 
 
 def _score(io: IoModel, y, actions, r: float, w1: float, w2: float):
-    """Objective of every action in the checked (n, 1) ``actions``, with its predictions."""
+    """Objectives of the checked (n, 1) ``actions``, their predictions, and d = tracked - r."""
     y = np.asarray(y, dtype=float).reshape(-1)
     means, variances = io._predict(y, actions)
     # sqrt(d * d), not abs(d): a distance above about 1.34e154 reads inf, the value traces keep
@@ -274,13 +273,15 @@ def _score(io: IoModel, y, actions, r: float, w1: float, w2: float):
         d = io.tracking_values(y, actions, means) - r
         track_err = np.sqrt(d * d)
     scores = w1 * track_err - w2 * np.add.reduce(variances, axis=1)
-    return scores, means, variances
+    return scores, means, variances, d
 
 
 def select_action(io: IoModel, y, r, phi: ActionSet, w1: float, w2: float) -> ActionChoice:
     """Best action in phi for the finite real reference ``r``; ties take the lowest index."""
-    scores, means, variances = _score(io, y, phi.actions, _finite_reference(r), w1, w2)
+    scores, means, variances, d = _score(io, y, phi.actions, _finite_reference(r), w1, w2)
     idx = int(scores.argmin())
+    if not math.isfinite(scores[idx]):  # every distance overflowed: take the nearest
+        idx = int(np.abs(d).argmin())
     return ActionChoice(
         index=idx,
         action=phi.actions[idx].copy(),

@@ -4,7 +4,7 @@ The controller in this package observes one data point per step, so the
 model is built around cheap incremental updates: a cached Cholesky factor
 of the noisy covariance matrix is extended by one row per observation,
 written in place into a buffer whose capacity doubles, and every query
-(posterior mean/variance, bordered log-determinants for information
+(posterior mean/variance, the Schur complements behind information
 scoring) is answered through triangular solves against that factor. No
 explicit matrix inverse is ever formed.
 """
@@ -185,9 +185,13 @@ class DataSet:
         return self.inputs.shape[0]
 
 
-def _singular_error(inputs):
+def _singular_error(inputs, point=None):
     """FactorizationError for a singular training covariance, naming duplicate inputs."""
-    i, j = np.nonzero(np.triu(_sq_dist(inputs, inputs) <= DUPLICATE_TOL**2, k=1))
+    if point is None:
+        i, j = np.nonzero(np.triu(_sq_dist(inputs, inputs) <= DUPLICATE_TOL**2, k=1))
+    else:  # a (1, d) point appended as index M: the stored inputs already factorized
+        i, j = np.nonzero(_sq_dist(inputs, point) <= DUPLICATE_TOL**2)
+        j += len(inputs)
     pairs = list(zip(i.tolist(), j.tolist()))
     if pairs:
         return FactorizationError(
@@ -289,7 +293,7 @@ class GpModel:
         diagonal = self.kernel.signal_variance + self._diagonal_boost()
         pivot = diagonal - float(w @ w)
         if pivot <= (n + 1) * _EPS * diagonal:
-            raise _singular_error(np.vstack([self.data.inputs, point]))
+            raise _singular_error(self.data.inputs, point)
         try:
             buf, inputs, targets = self._spare.pop()
         except IndexError:  # an earlier append to this model took the right
@@ -355,20 +359,13 @@ class GpModel:
             variances = variances.repeat(n)
         return means, variances
 
-    def schur_complement(self, points) -> np.ndarray:
-        """Covariance of noisy observations at the points given the training data.
-
-        k(P, P) + (noise + jitter) I - W^T W with W = L^{-1} k(X, P), shape
-        (p, p): the Schur complement of the training covariance in the
-        covariance bordered by the points P. A 1-D argument is one point.
-        """
-        pts = _as_rows(np.atleast_2d(points), self.dim, "border points")
-        return self._schur_complement(pts, self.kernel.cross(self.data.inputs, pts))
-
     def _schur_complement(self, pts, k):
-        """schur_complement of checked points ``pts``, given k = k(X, pts).
+        """Covariance of noisy observations at the checked points ``pts`` given the data.
 
-        The solve overwrites ``k``; a Fortran-ordered one it also spares a copy.
+        k(P, P) + (noise + jitter) I - W^T W with W = L^{-1} k, k = k(X, P),
+        shape (p, p): the Schur complement of the training covariance in the
+        covariance bordered by the points P. The solve overwrites ``k``; a
+        Fortran-ordered one it also spares a copy.
         """
         block = self.kernel.cross(pts, pts)
         block[np.diag_indices(pts.shape[0])] += self._diagonal_boost()
@@ -376,20 +373,3 @@ class GpModel:
             w = solve_triangular(self._chol, k, overwrite_b=True)
             block = block - w.T @ w
         return block
-
-    def extended_log_det(self, points) -> float:
-        """ln det of the training covariance bordered by extra probe points.
-
-        The (M + p) x (M + p) matrix appends, for each probe point, a
-        kernel row/column against the training inputs and a diagonal
-        entry of signal_variance + noise + jitter: log_det() plus the
-        log-det of the points' schur_complement.
-        """
-        try:
-            chol_block = np.linalg.cholesky(self.schur_complement(points))
-        except np.linalg.LinAlgError:
-            raise FactorizationError(
-                "bordered covariance is singular; duplicate border points "
-                "with no noise or jitter on the diagonal"
-            ) from None
-        return self.log_det() + float(2.0 * np.sum(np.log(np.diag(chol_block))))

@@ -18,13 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gp import DUPLICATE_TOL, FactorizationError, GpModel, _as_point, _as_rows, _sq_dist
+from .gp import DUPLICATE_TOL, FactorizationError, GpModel, _as_rows, _sq_dist
 
 __all__ = [
     "CandidateSet",
     "SelectionResult",
     "sample_candidates",
-    "info_score",
     "select_exhaustive",
     "select_max_variance",
 ]
@@ -82,39 +81,12 @@ def _disjoint_sq_dist(model: GpModel, candidates: CandidateSet) -> np.ndarray:
     return d2
 
 
-def _log_dets(dets, pivots):
-    """ln of bordered Schur determinants with leading pivots ``pivots``.
-
-    Raises exactly where the 1x1 or 2x2 Cholesky factorization of such a
-    block fails: a leading pivot or a determinant that is not positive.
-    """
-    if np.any(pivots <= 0) or np.any(dets <= 0):
-        raise FactorizationError(
-            "bordered covariance is singular; duplicate border points "
-            "with no noise or jitter on the diagonal"
-        )
-    return np.log(dets)
-
-
-def info_score(model: GpModel, candidates: CandidateSet, probe) -> float:
-    """Summed log-det of the covariance bordered by (candidate, probe) pairs.
-
-    One term per candidate x: ln det of the training covariance extended
-    by both x and the probe. Lower totals mean the probe explains more of
-    the set.
-    """
-    _require_scoreable(model, candidates)
-    schur = model.schur_complement(np.vstack([candidates.points, _as_point(probe, model.dim)]))
-    s = np.diag(schur)[:-1]
-    logs = _log_dets(s * schur[-1, -1] - schur[:-1, -1] ** 2, s)
-    return len(candidates) * model.log_det() + float(np.sum(logs))
-
-
 def select_exhaustive(model: GpModel, candidates: CandidateSet) -> SelectionResult:
-    """Probe minimizing info_score over the candidate set; ties take the lowest index.
+    """Probe with the least summed bordered log-det; ties take the lowest index.
 
-    Scores every (candidate, probe) pair from one Schur complement S over
-    the set; the pair's border rows are separate observations, so the
+    A probe's score sums ln det of the training covariance bordered by it
+    and x over every candidate x. All pairs come from one Schur complement
+    over the set; a pair's border rows are separate observations, so the
     noise stays off their shared entry even when both are one point.
     """
     _require_scoreable(model, candidates)
@@ -126,8 +98,13 @@ def select_exhaustive(model: GpModel, candidates: CandidateSet) -> SelectionResu
     # self-pair: s^2 - (s - boost)^2 without the cancellation of two near-equal squares
     boost = model._diagonal_boost()
     np.fill_diagonal(dets, boost * (2 * s - boost))
-    logs = _log_dets(dets, s)
-    scores = len(s) * model.log_det() + np.sum(logs, axis=0)
+    # exactly where the 2x2 Cholesky factorization of a block fails
+    if np.any(s <= 0) or np.any(dets <= 0):
+        raise FactorizationError(
+            "bordered covariance is singular; duplicate border points "
+            "with no noise or jitter on the diagonal"
+        )
+    scores = len(s) * model.log_det() + np.sum(np.log(dets), axis=0)
     idx = int(np.argmin(scores))
     return SelectionResult(index=idx, point=candidates.points[idx], score=float(scores[idx]))
 

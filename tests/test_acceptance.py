@@ -126,15 +126,18 @@ def test_criterion_2_information_score_identity():
         picked = select_exhaustive(model, theta)
 
         # linear-scale replica: product over the set of bordered
-        # determinant ratios, argmin without ever taking a log
-        base = np.exp(model.log_det())
+        # determinant ratios, argmin without ever taking a log. Each
+        # determinant is np.linalg.det of the dense covariance of
+        # [X; candidate; probe], built with kernel.cross
+        X = model.data.inputs
+        boost = noise + kernel.jitter
+        base = np.linalg.det(kernel.cross(X, X) + boost * np.eye(m))
         products = []
-        for cand in theta.points:
+        for probe in theta.points:
             prod = 1.0
-            for probe in theta.points:
-                block = np.vstack([probe, cand])
-                ext = np.exp(model.extended_log_det(block))
-                prod *= ext / base
+            for cand in theta.points:
+                pts = np.vstack([X, cand, probe])
+                prod *= np.linalg.det(kernel.cross(pts, pts) + boost * np.eye(m + 2)) / base
             products.append(prod)
         agree += int(picked.index == int(np.argmin(products)))
     elapsed = time.perf_counter() - t0

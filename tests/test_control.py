@@ -230,8 +230,7 @@ class TestPredictions:
         ids=["additive", "black_box", "cart"],
     )
     def test_obs_dim_sets_prediction_width(self, io, obs_dim, gp_dim):
-        # each structure learns one scalar map with one GP
-        assert io.obs_dim == obs_dim
+        # each structure learns one scalar map with one GP; predictions are as wide as y
         assert len(io.gps) == 1 and io.gps[0].dim == gp_dim
         means, variances = io.predict_batch(np.zeros(obs_dim), np.zeros((4, 1)))
         assert means.shape == variances.shape == (4, obs_dim)
@@ -307,8 +306,7 @@ class TestNorms:
         # w1 = 1, w2 = 0 and zero variances: each score is its tracking distance
         means = _vector(data.draw, n)[:, None]
         r = float(_vector(data.draw, 1)[0])
-        scores, _, _ = control._score(_GivenPrediction(means), [0.0], np.zeros((n, 1)),
-                                      r, 1.0, 0.0)
+        scores = control._score(_GivenPrediction(means), [0.0], np.zeros((n, 1)), r, 1.0, 0.0)[0]
         with np.errstate(over="ignore"):
             d = means[:, 0] - r
             want = np.sqrt(d * d)
@@ -317,8 +315,8 @@ class TestNorms:
     @pytest.mark.parametrize("mean,r", [(1e200, 0.0), (1.7e308, -1.7e308), (-1e155, 1e155)])
     def test_an_overflowing_distance_scores_inf(self, mean, r):
         # abs(d) would read 1e200 or 2e155 here; the distance has always read inf
-        scores, _, _ = control._score(_GivenPrediction(np.array([[mean], [r]])), [0.0],
-                                      np.zeros((2, 1)), r, 1.0, 0.0)
+        scores = control._score(_GivenPrediction(np.array([[mean], [r]])), [0.0],
+                                np.zeros((2, 1)), r, 1.0, 0.0)[0]
         assert scores.tolist() == [np.inf, 0.0]
 
     @settings(derandomize=True, deadline=None, max_examples=200)
@@ -465,6 +463,19 @@ class TestSelectAction:
             base = select_action(io, y, r, phi, w1, w2)
             scaled = select_action(io, y, r, phi, c * w1, c * w2)
             assert base.index == scaled.index
+
+    @pytest.mark.parametrize("actions,r,index", [
+        ([1e200, 2e200], 3e200, 1),
+        ([5e200, -1e200, 3e200], 1e200, 1),  # the nearest two tie: the lower index
+        ([1e300, 2e300], 0.8, 0),
+    ])
+    def test_every_distance_overflowing_takes_the_nearest(self, actions, r, index):
+        # every |d| is above 1.34e154, so every objective reads inf; the
+        # nearest action is still the one to take, and the objective stays inf
+        io = AdditiveControlModel(KernelConfig(0.5, 1.0, 1e-9), 0.0)
+        choice = select_action(io, [0.1], r, ActionSet(actions), 1.0, 0.0)
+        assert choice.index == index
+        assert choice.objective_value == np.inf
 
     def test_empty_action_set_rejected(self):
         io = AdditiveControlModel(KERN, noise_variance=0.1)

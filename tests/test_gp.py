@@ -487,8 +487,6 @@ class TestPosterior:
         message = re.escape(f"query points have no dimension, got shape {shape}")
         with pytest.raises(ValueError, match=f"^{message}$"):
             gp.posterior_batch(points)
-        with pytest.raises(ValueError, match="^border points have no dimension"):
-            gp.schur_complement(points)
 
     def test_dimension_mismatch_rejected(self):
         gp = GpModel.empty(KernelConfig(), 0.1, dim=2)
@@ -854,8 +852,6 @@ class TestStorage:
         for m in (model, grown):
             m.posterior_batch(repeated)
             m.posterior_batch(rows)
-            m.schur_complement(rows)
-            m.extended_log_det(rows[:2])
             m.with_observation(row[0], 0.1)  # reuses the repeated query's column
             m.with_observation(rows[0], 0.2)  # a branch, solved afresh
         select_exhaustive(grown, CandidateSet(rows))
@@ -883,71 +879,6 @@ class TestLogDet:
             sign, ref = np.linalg.slogdet(gp.covariance_matrix())
             assert sign == 1.0
             assert gp.log_det() == pytest.approx(ref, abs=1e-10)
-
-
-class TestExtendedLogDet:
-    def test_empty_model_single_border(self):
-        kern = KernelConfig(signal_variance=1.0, length_scale=1.0, jitter=0.0)
-        gp = GpModel.empty(kern, 0.1, dim=1)
-        assert gp.extended_log_det([[7.0]]) == pytest.approx(np.log(1.1), abs=1e-14)
-
-    def test_matches_assembled_matrix(self):
-        # border the dense covariance by hand, slogdet it, compare
-        rng = np.random.default_rng(32)
-        for _ in range(100):
-            M = rng.integers(0, 7)
-            p = rng.integers(1, 4)
-            kern = KernelConfig(
-                signal_variance=float(rng.uniform(0.2, 1.5)),
-                length_scale=float(rng.uniform(0.5, 2.0)),
-                jitter=0.0,
-            )
-            noise = float(rng.uniform(0.05, 0.5))
-            X = rng.uniform(-2, 2, size=(M, 2))
-            borders = rng.uniform(-2, 2, size=(p, 2))
-            gp = GpModel(kern, noise, DataSet(X, rng.normal(size=M)))
-            allpts = np.vstack([X, borders])
-            full = kern.cross(allpts, allpts)
-            full[np.diag_indices(M + p)] += noise
-            sign, ref = np.linalg.slogdet(full)
-            assert sign == 1.0
-            assert gp.extended_log_det(borders) == pytest.approx(ref, abs=1e-10)
-            schur = full[M:, M:] - full[M:, :M] @ np.linalg.solve(full[:M, :M], full[:M, M:])
-            assert np.allclose(gp.schur_complement(borders), schur, rtol=0, atol=1e-10)
-
-    @settings(derandomize=True, deadline=None, max_examples=40)
-    @given(separated_problem(), st.integers(1, 4))
-    def test_schur_complement_matches_the_bordered_matrix(self, problem, p):
-        # the first p separated points border the model of the rest, which may be empty
-        kern, noise, points, y, _ = problem
-        p = min(p, len(points))
-        X, border = points[p:], points[:p]
-        gp = GpModel(kern, noise, DataSet(X, y[p:]))
-        ordered = np.vstack([X, border])
-        full = dense_gram(kern, ordered, ordered) + (noise + kern.jitter) * np.eye(len(ordered))
-        m = len(X)
-        schur = full[m:, m:] - full[m:, :m] @ np.linalg.solve(full[:m, :m], full[:m, m:])
-        assert_allclose(gp.schur_complement(border), schur, rtol=0, atol=1e-9)
-        sign, ref = np.linalg.slogdet(full)
-        assert sign == 1.0
-        assert gp.extended_log_det(border) == pytest.approx(ref, rel=1e-9, abs=1e-9)
-
-    def test_consistent_with_observation_append(self):
-        # the bordered log-det equals log_det after absorbing the probe
-        kern = KernelConfig(signal_variance=0.5, length_scale=1.0)
-        rng = np.random.default_rng(33)
-        gp = GpModel(kern, 0.1, DataSet(rng.uniform(-1, 1, size=(4, 1)), rng.normal(size=4)))
-        probe = np.array([0.3])
-        grown = gp.with_observation(probe, 0.0)
-        assert gp.extended_log_det(probe[None, :]) == pytest.approx(
-            grown.log_det(), abs=1e-10
-        )
-
-    def test_duplicate_border_without_noise_raises(self):
-        kern = KernelConfig(signal_variance=1.0, length_scale=1.0, jitter=0.0)
-        gp = GpModel.empty(kern, 0.0, dim=1)
-        with pytest.raises(FactorizationError):
-            gp.extended_log_det([[1.0], [1.0]])
 
 
 class TestFactorizationError:
@@ -980,6 +911,26 @@ class TestFactorizationError:
             gp.posterior_batch(x[None, :])
         with pytest.raises(FactorizationError, match=rf"\({i}, {len(X)}\)"):
             gp.with_observation(x, 0.0)
+
+    def test_append_names_its_duplicates_from_one_distance_row(self, monkeypatch):
+        # the stored rows already factorized, so only the new point can form a
+        # duplicate pair: one (M, 1) distance row names them, no (M + 1)^2 block
+        kern = KernelConfig(signal_variance=1.0, length_scale=1.0, jitter=0.0)
+        gp = GpModel(kern, 0.0, DataSet(np.arange(30.0)[:, None], np.zeros(30)))
+        shapes, sq_dist = [], gp_module._sq_dist
+
+        def counted(rows, cols):
+            shapes.append((len(rows), len(cols)))
+            return sq_dist(rows, cols)
+
+        monkeypatch.setattr(gp_module, "_sq_dist", counted)
+        with pytest.raises(FactorizationError) as exc:
+            gp.with_observation([7.0], 1.0)
+        assert str(exc.value) == (
+            "training covariance is singular; duplicate input pairs "
+            "(index pairs [(7, 30)]) with no noise or jitter on the diagonal"
+        )
+        assert shapes and all(rows * cols <= 30 for rows, cols in shapes)
 
     def test_targets_that_overflow_alpha_raise(self):
         # alpha = C^{-1} y is about y / 0.5 here: an inf alpha made every mean NaN

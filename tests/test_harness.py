@@ -27,6 +27,11 @@ from dualgp.plants import CartParams
 
 # benchmark mode with actions so large the cart's state overflows at step 1
 HUGE_ACTIONS = {"action_grid": {"min": 1e300, "max": 2e300, "step": 1e300}, "steps": 50}
+# a reference whose square overflows, with every action's distance to it overflowing too
+FAR_REFERENCE = {
+    "selection": "benchmark", "target": [3e200], "steps": 1,
+    "action_grid": {"min": 1e200, "max": 2e200, "step": 1e200},
+}
 # three copies of one transition: singular with no noise and no jitter
 DUPLICATE_POINTS = {
     "kernel": {"jitter": 0.0, "signal_variance": 1.0},
@@ -124,6 +129,17 @@ class TestRunScenario:
         summary = summarize(cfg, [])
         assert summary["final_tracking_error"] == pytest.approx(0.7)
         assert summary["steps_to_within_10pct"] == -1
+
+    def test_a_reference_above_the_range_of_its_square(self):
+        # the step takes the action nearest r; the summary and the sweep's bound
+        # read |r|, where a norm's r * r overflowed (a RuntimeWarning here)
+        cfg = cfg_for("logistic_linear", **FAR_REFERENCE)
+        result = run_scenario(cfg)
+        assert result.records[0].action[0] == 2e200
+        assert result.records[0].objective_value == np.inf
+        assert result.summary["final_tracking_error"] == abs(0.1 - 3e200)
+        assert summarize(cfg, [])["final_tracking_error"] == abs(0.1 - 3e200)
+        assert run_sweep(cfg, 1) == [(0, abs(0.1 - 3e200), -1, 0)]
 
     def test_explicit_initial_points_enter_training_set(self):
         cfg = cfg_for(

@@ -13,17 +13,15 @@ from dualgp import info as info_module
 from dualgp.gp import DataSet, FactorizationError, GpModel, KernelConfig
 from dualgp.info import (
     CandidateSet,
-    info_score,
     sample_candidates,
     select_exhaustive,
     select_max_variance,
 )
 
-SCORE_SINGLE = -0.17183209348270312  # ln(1.21 - exp(-1))
+LOG_021 = -1.5606477482646683       # ln(1.1^2 - 1)
 LOG_121 = 0.1906203596086497         # ln(1.21)
 VAR_NEAR = 0.19995469659166554       # 1.1 - exp(-0.01)/1.1
 VAR_FAR = 1.0833494191920598         # 1.1 - exp(-4)/1.1
-SCORE_TWIN = -0.9173502907741637     # 2 ln(1 - exp(-1)), noise- and jitter-free
 
 
 def unit_kernel():
@@ -45,12 +43,30 @@ def dense_bordered_log_det(kernel, noise, X, borders):
     return val
 
 
+def dense_log_dets(model, theta):
+    """dense_bordered_log_det of every (probe, candidate) pair, shape (n probes, n candidates)."""
+    return np.array([
+        [
+            dense_bordered_log_det(
+                model.kernel, model.noise_variance, model.data.inputs, np.vstack([x, probe])
+            )
+            for x in theta.points
+        ]
+        for probe in theta.points
+    ])
+
+
+def cross_schur(model, points):
+    """The model's Schur complement for ``points``, its kernel block built by kernel.cross."""
+    return model._schur_complement(points, model.kernel.cross(model.data.inputs, points))
+
+
 def reference_selection(model, theta):
-    """(index, score) of the summed bordered log-dets over the public schur_complement.
+    """(index, score) of the summed bordered log-dets over cross_schur.
 
     None where a leading pivot or a determinant is not positive.
     """
-    schur = model.schur_complement(theta.points)
+    schur = cross_schur(model, theta.points)
     s = np.diag(schur)
     dets = np.outer(s, s) - schur**2
     boost = model.noise_variance + model.kernel.jitter
@@ -127,56 +143,33 @@ class TestCandidateSet:
 
 
 class TestInfoScore:
+    """The score select_exhaustive reports: its probe's summed bordered log-det."""
+
     def test_single_candidate_frozen_value(self):
-        # empty data, sigma=0.1: one 2x2 bordered determinant
+        # empty data, sigma=0.1: the candidate borders itself, noise on each copy
         model = GpModel.empty(unit_kernel(), 0.1, dim=1)
-        theta = CandidateSet([[0.0]])
-        assert info_score(model, theta, [1.0]) == pytest.approx(SCORE_SINGLE, abs=1e-12)
+        out = select_exhaustive(model, CandidateSet([[0.0]]))
+        assert out.score == pytest.approx(LOG_021, abs=1e-12)
 
     def test_far_candidates_reduce_to_diagonals(self):
+        # the far pair's determinant is the product of its diagonal, 1.1^2
         model = GpModel.empty(unit_kernel(), 0.1, dim=1)
-        theta = CandidateSet([[1e8], [-1e8]])
-        assert info_score(model, theta, [0.0]) == pytest.approx(2 * LOG_121, abs=1e-12)
-
-    def test_twin_candidates_never_bordered_together(self):
-        # no noise or jitter: bordering the two equal candidates together
-        # would be singular, but the score only pairs each with the probe
-        model = GpModel.empty(KernelConfig(1.0, 1.0, 0.0), 0.0, dim=1)
-        theta = CandidateSet([[0.0], [0.0]])
-        assert info_score(model, theta, [1.0]) == pytest.approx(SCORE_TWIN, abs=1e-12)
+        out = select_exhaustive(model, CandidateSet([[1e8], [-1e8]]))
+        assert out.score == pytest.approx(LOG_021 + LOG_121, abs=1e-12)
 
     def test_equals_sum_of_assembled_matrices(self):
         rng = np.random.default_rng(41)
         for dim in (1, 2):
             for _ in range(40):
                 model, theta = random_instance(rng, dim=dim)
-                probe = rng.uniform(2.5, 6, size=dim)
-                want = sum(
-                    dense_bordered_log_det(
-                        model.kernel,
-                        model.noise_variance,
-                        model.data.inputs,
-                        np.vstack([x, probe]),
-                    )
-                    for x in theta.points
-                )
-                assert info_score(model, theta, probe) == pytest.approx(want, abs=1e-9)
+                out = select_exhaustive(model, theta)
+                want = np.sum(dense_log_dets(model, theta)[out.index])
+                assert out.score == pytest.approx(want, abs=1e-9)
 
     def test_empty_candidates_rejected(self):
         model = GpModel.empty(unit_kernel(), 0.1, dim=1)
-        with pytest.raises(ValueError):
-            info_score(model, CandidateSet(np.zeros((0, 1))), [0.0])
-
-    @pytest.mark.parametrize("dim,probe,message", [
-        (1, [1.0, 2.0], "points have dimension 2, expected 1"),
-        # a column would otherwise be flattened and scored as the point (1, 2)
-        (2, [[1.0], [2.0]], "a point must be a nonempty vector"),
-    ], ids=["wrong_dimension", "column"])
-    def test_malformed_probe_rejected(self, dim, probe, message):
-        model = GpModel(unit_kernel(), 0.1, DataSet(np.zeros((1, dim)), [1.0]))
-        theta = CandidateSet(np.full((2, dim), 2.0))
-        with pytest.raises(ValueError, match=message):
-            info_score(model, theta, probe)
+        with pytest.raises(ValueError, match="candidate set is empty"):
+            select_exhaustive(model, CandidateSet(np.zeros((0, 1))))
 
 
 class TestSelectExhaustive:
@@ -211,28 +204,20 @@ class TestSelectExhaustive:
         assert out.index == 0
 
     def test_log_argmin_matches_linear_product_argmin(self):
-        # minimizing the summed logs and the product of determinants agree,
-        # and the reported score is the dense bordered sum of the choice
+        # minimizing the summed logs and the product of determinants agree
+        # (TestInfoScore checks the reported score against the dense sum)
         rng = np.random.default_rng(42)
         for dim in (1, 2):
             for _ in range(50):
                 model, theta = random_instance(rng, max_m=4, max_t=6, dim=dim)
-                log_dets = np.array([
-                    [
-                        dense_bordered_log_det(
-                            model.kernel,
-                            model.noise_variance,
-                            model.data.inputs,
-                            np.vstack([x, probe]),
-                        )
-                        for x in theta.points
-                    ]
-                    for probe in theta.points
-                ])
-                products = np.prod(np.exp(log_dets), axis=1)
-                out = select_exhaustive(model, theta)
-                assert out.index == int(np.argmin(products))
-                assert out.score == pytest.approx(np.sum(log_dets[out.index]), abs=1e-9)
+                products = np.prod(np.exp(dense_log_dets(model, theta)), axis=1)
+                assert select_exhaustive(model, theta).index == int(np.argmin(products))
+
+    def test_noise_free_self_pair_raises(self):
+        # no noise or jitter: a probe bordered by itself is singular
+        model = GpModel(unit_kernel(), 0.0, DataSet([[0.0]], [1.0]))
+        with pytest.raises(FactorizationError, match="^bordered covariance is singular"):
+            select_exhaustive(model, CandidateSet([[1.0], [2.0]]))
 
     def test_noise_free_scores_match_exact_arithmetic(self):
         # with no noise a self-pair determinant is about 2 * s * jitter;
@@ -246,7 +231,7 @@ class TestSelectExhaustive:
             data = DataSet(rng.uniform(-2, 2, size=(3, 1)), rng.normal(size=3))
             model = GpModel(kern, 0.0, data)
             theta = CandidateSet(rng.uniform(-2, 6, size=(8, 1)))
-            schur = [[Fraction(v) for v in row] for row in model.schur_complement(theta.points)]
+            schur = [[Fraction(v) for v in row] for row in cross_schur(model, theta.points)]
             boost = Fraction(kern.jitter)
             n = len(theta)
             scores = []
@@ -262,10 +247,10 @@ class TestSelectExhaustive:
 
     @settings(derandomize=True, deadline=None, max_examples=80)
     @given(selection_problem())
-    def test_bit_identical_to_the_public_schur_complement(self, problem):
+    def test_bit_identical_to_the_cross_built_schur_complement(self, problem):
         # selection builds its kernel block from its own distances; index and
-        # score must be those of the public path to the last bit, and the
-        # kernel must keep its expression, which the scores' bits depend on
+        # score must be those of a block from kernel.cross to the last bit, and
+        # the kernel must keep its expression, which the scores' bits depend on
         model, theta = problem
         kern, X, P = model.kernel, model.data.inputs, theta.points
         d2 = sum((P[:, None, j] - X[None, :, j]) ** 2 for j in range(model.dim))
@@ -287,8 +272,7 @@ class TestSelectExhaustive:
             perm = rng.permutation(len(theta))
             shuffled = CandidateSet(theta.points[perm])
             out2 = select_exhaustive(model, shuffled)
-            scores = [info_score(model, theta, p) for p in theta.points]
-            order = np.sort(scores)
+            order = np.sort(np.sum(dense_log_dets(model, theta), axis=1))
             if len(order) > 1 and order[1] - order[0] < 1e-12:
                 continue  # tied instance, indices may legitimately differ
             assert np.allclose(out2.point, out.point)
@@ -443,13 +427,17 @@ class TestAggregateLogDet:
             X = rng.uniform(-2, 2, size=(M, 1))
             model = GpModel(kern, noise, DataSet(X, rng.normal(size=M)))
             theta = CandidateSet(rng.uniform(2.5, 6, size=(5, 1)))
-            before = sum(model.extended_log_det(x) for x in theta.points)
+
+            def summed(inputs):
+                return sum(dense_bordered_log_det(kern, noise, inputs, x[None, :])
+                           for x in theta.points)
+
+            before = summed(X)
             for choose in (select_exhaustive, select_max_variance):
                 picked = choose(model, theta)
                 grown = model.with_observation(picked.point, rng.normal())
                 # same set on both sides; the absorbed point stays in it
-                after = sum(grown.extended_log_det(x) for x in theta.points)
-                assert after <= before + 1e-9
+                assert summed(grown.data.inputs) <= before + 1e-9
 
     def test_agreement_diagnostic_reported(self):
         # how often the greedy choice matches the exhaustive one; no
