@@ -272,7 +272,9 @@ def _score(io: IoModel, y, actions, r: float, w1: float, w2: float):
     with np.errstate(over="ignore"):
         d = io.tracking_values(y, actions, means) - r
         track_err = np.sqrt(d * d)
-    scores = w1 * track_err - w2 * np.add.reduce(variances, axis=1)
+    scores = -w2 * np.add.reduce(variances, axis=1)
+    if w1:  # with w1 = 0 an overflowed distance would make 0 * inf = nan
+        scores += w1 * track_err
     return scores, means, variances, d
 
 

@@ -131,11 +131,11 @@ def summarize(cfg: dict, records: list) -> dict:
             steps_to = rec.step
             break
     # a blown-up trajectory can overflow the error norm; report the last
-    # finite value so sweep rows stay numeric (success flags the failure)
-    finite = [r.tracking_error for r in records if np.isfinite(r.tracking_error)]
-    if finite:
-        final = finite[-1]
+    # finite value, or inf when every step overflowed (success flags the failure)
+    if records:
         errs = [r.tracking_error for r in records]
+        finite = [e for e in errs if np.isfinite(e)]
+        final = finite[-1] if finite else errs[-1]
         half = len(errs) // 2
         first = float(np.mean(errs[:half])) if half else final
         second = float(np.mean(errs[half:]))

@@ -58,20 +58,19 @@ class SelectionResult:
     score: float
 
 
-def _require_scoreable(model: GpModel, candidates: CandidateSet):
+def _disjoint_sq_dist(model: GpModel, candidates: CandidateSet) -> np.ndarray:
+    """Candidate x training squared distances, once the set is fit to score.
+
+    ValueError for an empty set, a dimension mismatch, or a candidate that
+    duplicates a training input: a duplicate makes the sigma=0 case
+    singular and re-measuring a known point look informative.
+    """
     if len(candidates) == 0:
         raise ValueError("candidate set is empty")
     if candidates.dim != model.dim:
         raise ValueError(
             f"candidates have dimension {candidates.dim}, model expects {model.dim}"
         )
-
-
-def _disjoint_sq_dist(model: GpModel, candidates: CandidateSet) -> np.ndarray:
-    """Candidate x training squared distances, once no candidate duplicates an input."""
-    # keep Theta disjoint from the training inputs when picking a probe,
-    # else the sigma=0 case goes singular and re-measuring known points
-    # can look informative
     d2 = _sq_dist(candidates.points, model.data.inputs)
     if d2.size and d2.min() <= DUPLICATE_TOL**2:
         i, j = np.argwhere(d2 <= DUPLICATE_TOL**2)[0]
@@ -89,7 +88,6 @@ def select_exhaustive(model: GpModel, candidates: CandidateSet) -> SelectionResu
     over the set; a pair's border rows are separate observations, so the
     noise stays off their shared entry even when both are one point.
     """
-    _require_scoreable(model, candidates)
     d2 = _disjoint_sq_dist(model, candidates)
     # transposed, the (M, n) kernel block is in the Fortran order the solve takes
     schur = model._schur_complement(candidates.points, model.kernel._from_sq_dist(d2).T)
@@ -111,7 +109,6 @@ def select_exhaustive(model: GpModel, candidates: CandidateSet) -> SelectionResu
 
 def select_max_variance(model: GpModel, candidates: CandidateSet) -> SelectionResult:
     """Candidate with the largest posterior variance; ties take the lowest index."""
-    _require_scoreable(model, candidates)
     _disjoint_sq_dist(model, candidates)
     _, variances = model.posterior_batch(candidates.points)
     idx = int(np.argmax(variances))
@@ -123,17 +120,16 @@ def select_max_variance(model: GpModel, candidates: CandidateSet) -> SelectionRe
 def sample_candidates(
     bounds,
     n: int,
-    mode: str = "grid",
+    mode: str = "uniform_random",
     seed=None,
     exclusions=None,
 ) -> CandidateSet:
-    """Draw up to n points from a box domain as a CandidateSet.
+    """Draw up to n points uniformly from a box domain as a CandidateSet.
 
-    ``bounds`` is one (low, high) pair per dimension. Grid mode places
-    evenly spaced points including the endpoints (1-D: n points; 2-D:
-    floor(sqrt(n)) per axis); uniform_random draws n points reproducibly
-    from the seed. Points within 1e-12 of any exclusion row are dropped,
-    so the result can be empty; callers must check before selecting.
+    ``bounds`` is one (low, high) pair per dimension; the n points are
+    reproducible from the seed. ``mode`` accepts only "uniform_random".
+    Points within 1e-12 of any exclusion row are dropped, so the result can
+    be empty; callers must check before selecting.
     """
     bounds = [(float(lo), float(hi)) for lo, hi in bounds]
     dim = len(bounds)
@@ -144,25 +140,11 @@ def sample_candidates(
             raise ValueError(f"invalid bounds ({lo}, {hi}): need finite low < high")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if mode != "uniform_random":
+        raise ValueError(f"unknown mode {mode!r}: expected 'uniform_random'")
 
-    if mode == "grid":
-        if dim == 1:
-            lo, hi = bounds[0]
-            pts = np.linspace(lo, hi, n)[:, None]
-        elif dim == 2:
-            per_axis = max(1, int(np.floor(np.sqrt(n))))
-            axes = [np.linspace(lo, hi, per_axis) for lo, hi in bounds]
-            g0, g1 = np.meshgrid(axes[0], axes[1], indexing="ij")
-            pts = np.column_stack([g0.ravel(), g1.ravel()])
-        else:
-            raise ValueError(f"grid mode supports 1-D and 2-D domains, got {dim}-D")
-    elif mode == "uniform_random":
-        rng = np.random.default_rng(seed)
-        lows = np.array([lo for lo, _ in bounds])
-        highs = np.array([hi for _, hi in bounds])
-        pts = rng.uniform(lows, highs, size=(n, dim))
-    else:
-        raise ValueError(f"unknown mode {mode!r}: expected 'grid' or 'uniform_random'")
+    lows, highs = np.array(bounds).T
+    pts = np.random.default_rng(seed).uniform(lows, highs, size=(n, dim))
 
     if exclusions is not None:
         excl = _as_rows(np.atleast_2d(exclusions), dim, "exclusions")

@@ -1,6 +1,7 @@
 """Tests for the dual controller: I/O structures, objective, episode loops."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -476,6 +477,18 @@ class TestSelectAction:
         choice = select_action(io, [0.1], r, ActionSet(actions), 1.0, 0.0)
         assert choice.index == index
         assert choice.objective_value == np.inf
+
+    def test_pure_exploration_with_every_distance_overflowing(self):
+        # w1 = 0 drops the tracking term: no 0 * inf = nan, the objective is -w2 * variance
+        io = AdditiveControlModel(KernelConfig(0.5, 1.0, 1e-9), 0.0)
+        phi = ActionSet([1e200, 2e200])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            choice = select_action(io, [0.1], 3e200, phi, 0.0, 1.0)
+        rows = io.candidate_inputs(np.array([0.1]), phi.actions)
+        picked = select_max_variance(io.gps[0], CandidateSet(rows))
+        assert choice.index == picked.index
+        assert choice.objective_value == -picked.score
 
     def test_empty_action_set_rejected(self):
         io = AdditiveControlModel(KERN, noise_variance=0.1)

@@ -131,15 +131,17 @@ class TestRunScenario:
         assert summary["steps_to_within_10pct"] == -1
 
     def test_a_reference_above_the_range_of_its_square(self):
-        # the step takes the action nearest r; the summary and the sweep's bound
-        # read |r|, where a norm's r * r overflowed (a RuntimeWarning here)
+        # the step takes the action nearest r; its error overflows, and the summary
+        # and the sweep report the recorded inf. With no step done the summary
+        # reads |x0 - r|, where a norm's r * r overflowed (a RuntimeWarning here)
         cfg = cfg_for("logistic_linear", **FAR_REFERENCE)
         result = run_scenario(cfg)
         assert result.records[0].action[0] == 2e200
         assert result.records[0].objective_value == np.inf
-        assert result.summary["final_tracking_error"] == abs(0.1 - 3e200)
+        assert result.records[0].tracking_error == np.inf
+        assert result.summary["final_tracking_error"] == np.inf
         assert summarize(cfg, [])["final_tracking_error"] == abs(0.1 - 3e200)
-        assert run_sweep(cfg, 1) == [(0, abs(0.1 - 3e200), -1, 0)]
+        assert run_sweep(cfg, 1) == [(0, np.inf, -1, 0)]
 
     def test_explicit_initial_points_enter_training_set(self):
         cfg = cfg_for(

@@ -97,8 +97,8 @@ def selection_problem(draw):
     X = gap * (rng.permutation(sites)[:m] + rng.uniform(-0.1, 0.1, size=(m, dim)))
     model = GpModel(kern, noise, DataSet(X, rng.normal(size=m)))
     bounds = [(-gap, gap * side)] * dim
-    theta = sample_candidates(bounds, n, mode="uniform_random",
-                              seed=int(rng.integers(2**31)), exclusions=X if m else None)
+    theta = sample_candidates(bounds, n, seed=int(rng.integers(2**31)),
+                              exclusions=X if m else None)
     return model, theta
 
 
@@ -165,11 +165,6 @@ class TestInfoScore:
                 out = select_exhaustive(model, theta)
                 want = np.sum(dense_log_dets(model, theta)[out.index])
                 assert out.score == pytest.approx(want, abs=1e-9)
-
-    def test_empty_candidates_rejected(self):
-        model = GpModel.empty(unit_kernel(), 0.1, dim=1)
-        with pytest.raises(ValueError, match="candidate set is empty"):
-            select_exhaustive(model, CandidateSet(np.zeros((0, 1))))
 
 
 class TestSelectExhaustive:
@@ -299,15 +294,26 @@ class TestSelectMaxVariance:
         with pytest.raises(ValueError, match="duplicates training input"):
             select_max_variance(model, CandidateSet([[0.5], [1.0]]))
 
-    def test_dimension_mismatch_rejected(self):
-        model = GpModel.empty(unit_kernel(), 0.1, dim=2)
-        with pytest.raises(ValueError):
-            select_max_variance(model, CandidateSet([[0.5]]))
+
+SELECTORS = [select_exhaustive, select_max_variance]
+
+
+class TestCandidateChecks:
+    @pytest.mark.parametrize("select", SELECTORS)
+    def test_empty_set_rejected(self, select):
+        model = GpModel(unit_kernel(), 0.1, DataSet([[0.5]], [1.0]))
+        with pytest.raises(ValueError, match="^candidate set is empty$"):
+            select(model, CandidateSet(np.zeros((0, 1))))
+
+    @pytest.mark.parametrize("select", SELECTORS)
+    def test_dimension_mismatch_rejected(self, select):
+        model = GpModel(unit_kernel(), 0.1, DataSet([[0.5, 0.5]], [1.0]))
+        with pytest.raises(ValueError,
+                           match="^candidates have dimension 1, model expects 2$"):
+            select(model, CandidateSet([[0.5]]))
 
 
 class TestDuplicateCandidates:
-    SELECTORS = [select_exhaustive, select_max_variance]
-
     @staticmethod
     def two_point_model():
         return GpModel(unit_kernel(), 0.1, DataSet([[2.0], [0.5]], [0.0, 1.0]))
@@ -341,8 +347,7 @@ class TestWorkPerSelection:
         rng = np.random.default_rng(46)
         X = rng.uniform(-3, 3, size=(200, 2))
         model = GpModel(KernelConfig(0.5, 1.0, 1e-9), 0.01, DataSet(X, rng.normal(size=200)))
-        theta = sample_candidates([(-3, 3)] * 2, 50, mode="uniform_random", seed=1,
-                                  exclusions=X)
+        theta = sample_candidates([(-3, 3)] * 2, 50, seed=1, exclusions=X)
         dists, solves, argwheres = [], [], []
         sq_dist, solve, argwhere = gp_module._sq_dist, gp_module.solve_triangular, np.argwhere
 
@@ -369,39 +374,49 @@ class TestWorkPerSelection:
 
 
 class TestSampleCandidates:
-    def test_1d_grid_even_spacing(self):
-        cs = sample_candidates([(0.0, 1.0)], 3, mode="grid")
-        assert np.allclose(cs.points[:, 0], [0.0, 0.5, 1.0])
-
-    def test_2d_grid_square_layout(self):
-        cs = sample_candidates([(0.0, 1.0), (0.0, 2.0)], 9, mode="grid")
-        assert len(cs) == 9
-        assert cs.dim == 2
-        cs10 = sample_candidates([(0.0, 1.0), (0.0, 2.0)], 10, mode="grid")
-        assert len(cs10) == 9  # floor(sqrt(10)) per axis
-
-    def test_3d_grid_unsupported(self):
-        with pytest.raises(ValueError):
-            sample_candidates([(0, 1)] * 3, 8, mode="grid")
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        bounds=st.lists(
+            st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)).filter(lambda b: b[0] < b[1]),
+            min_size=1, max_size=4,
+        ),
+        n=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_draws_are_the_seeded_uniform_formula(self, bounds, n, seed):
+        lows = np.array([lo for lo, _ in bounds])
+        highs = np.array([hi for _, hi in bounds])
+        want = np.random.default_rng(seed).uniform(lows, highs, size=(n, len(bounds)))
+        assert np.array_equal(sample_candidates(bounds, n, seed=seed).points, want)
 
     def test_random_mode_reproducible_and_bounded(self):
-        a = sample_candidates([(-2.0, 3.0)], 20, mode="uniform_random", seed=7)
+        a = sample_candidates([(-2.0, 3.0)], 20, seed=7)
         b = sample_candidates([(-2.0, 3.0)], 20, mode="uniform_random", seed=7)
         assert np.array_equal(a.points, b.points)
         assert len(a) == 20
         assert np.all(a.points >= -2.0) and np.all(a.points <= 3.0)
-        c = sample_candidates([(-2.0, 3.0)], 20, mode="uniform_random", seed=8)
+        c = sample_candidates([(-2.0, 3.0)], 20, seed=8)
         assert not np.array_equal(a.points, c.points)
 
+    def test_grid_mode_rejected(self):
+        # a caller asking for a grid gets an error, not random points in its place
+        want = "^unknown mode 'grid': expected 'uniform_random'$"
+        for bounds in ([(0.0, 1.0)], [(0.0, 1.0)] * 2, [(0.0, 1.0)] * 3):
+            with pytest.raises(ValueError, match=want):
+                sample_candidates(bounds, 9, mode="grid")
+
     def test_exclusions_dropped(self):
-        cs = sample_candidates([(0.0, 1.0)], 3, mode="grid", exclusions=[[0.5]])
-        assert np.allclose(cs.points[:, 0], [0.0, 1.0])
+        # exclude two drawn points, one exactly and one within the 1e-12 tolerance
+        bounds = [(0.0, 1.0), (-1.0, 1.0)]
+        drawn = sample_candidates(bounds, 10, seed=3).points
+        excl = [drawn[2], drawn[7] + [0.5e-12, 0.0], [5.0, 5.0]]
+        cs = sample_candidates(bounds, 10, seed=3, exclusions=excl)
+        assert np.array_equal(cs.points, np.delete(drawn, [2, 7], axis=0))
 
     def test_full_exclusion_yields_empty_set(self):
-        cs = sample_candidates(
-            [(0.0, 1.0)], 3, mode="grid", exclusions=[[0.0], [0.5], [1.0]]
-        )
-        assert len(cs) == 0
+        drawn = sample_candidates([(0.0, 1.0)], 5, seed=4).points
+        cs = sample_candidates([(0.0, 1.0)], 5, seed=4, exclusions=drawn)
+        assert len(cs) == 0 and cs.dim == 1
 
     def test_invalid_bounds_rejected(self):
         with pytest.raises(ValueError):

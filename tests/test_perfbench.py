@@ -27,7 +27,7 @@ def load(name):
 check, tracing, workloads = load("check"), load("tracing"), load("workloads")
 
 
-@pytest.mark.parametrize("name", ["info_select", "logistic_long"])
+@pytest.mark.parametrize("name", ["info_select", "logistic_long", "cart_long", "nonlinear_sweep"])
 def test_a_pass_matches_its_reference(name, tmp_path):
     workload = workloads.make(name, 0)
     workload.build()
