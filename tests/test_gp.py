@@ -106,6 +106,15 @@ def parent_and_point(rng, dim, noise, M):
     return build, X[M], y[M]
 
 
+def assert_same_bits(grown, fresh, probes):
+    """Two models of one data set hold equal factor rows and alpha, and answer equally."""
+    M = len(fresh.data)
+    assert np.array_equal(grown._chol[:, :M], fresh._chol)
+    assert np.array_equal(grown._alpha, fresh._alpha)
+    assert grown.log_det() == fresh.log_det()
+    assert np.array_equal(grown.posterior_batch(probes), fresh.posterior_batch(probes))
+
+
 @st.composite
 def separated_problem(draw, max_points=120):
     """A kernel, a noise level and up to max_points training pairs spaced on the length scale."""
@@ -162,6 +171,13 @@ class TestKernel:
                 # a exp(-||p - q||^2 / (2 l^2)), one pair at a time
                 closed = a * np.exp(-np.sum((rows[i] - cols[j]) ** 2) / (2 * l**2))
                 assert out[i, j] == pytest.approx(closed, abs=1e-15)
+
+    @pytest.mark.parametrize("rows,cols", [((3, 1), (2, 2)), ((3, 2), (2, 1)), ((1, 2), (1, 1))])
+    def test_cross_rejects_mismatched_dimensions(self, rows, cols):
+        # a kernel of the shared coordinates alone would be a silent wrong answer
+        k = KernelConfig()
+        with pytest.raises(ValueError, match=rf"^point sets have dimensions {rows[1]} and {cols[1]}$"):
+            k.cross(np.zeros(rows), np.ones(cols))
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -571,6 +587,13 @@ class TestSolveCounts:
         per_step = np.diff(marks + [len(solve_calls)]).tolist()
         assert per_step == [first] + [later] * 49
 
+    @pytest.mark.parametrize("M", [1, 2, 30])
+    def test_a_model_built_from_M_rows_makes_M_plus_1_solves(self, solve_calls, M):
+        # one per row after the first, as its append would, then two for alpha
+        rng = np.random.default_rng(M)
+        GpModel(KernelConfig(), 0.01, DataSet(rng.uniform(-3, 3, size=(M, 2)), rng.normal(size=M)))
+        assert solve_calls == [(m,) for m in range(1, M)] + [(M,), (M,)]
+
 
 class TestIncrementalUpdate:
     def test_matches_fresh_factorization(self):
@@ -582,13 +605,9 @@ class TestIncrementalUpdate:
             ys = rng.normal(size=10)
             for x, y in zip(pts, ys):
                 gp = gp.with_observation(x, y)
+            # the constructor appends its rows by the same rule: equal bits
             fresh = GpModel(kern, 0.05, DataSet(pts, ys))
-            q = rng.uniform(-2, 2, size=2)
-            (inc_mean,), (inc_var,) = gp.posterior_batch(q[None, :])
-            (ref_mean,), (ref_var,) = fresh.posterior_batch(q[None, :])
-            assert inc_mean == pytest.approx(ref_mean, abs=1e-10)
-            assert inc_var == pytest.approx(ref_var, abs=1e-10)
-            assert gp.log_det() == pytest.approx(fresh.log_det(), abs=1e-10)
+            assert_same_bits(gp, fresh, rng.uniform(-2, 2, size=(1, 2)))
 
     @settings(derandomize=True, deadline=None, max_examples=40)
     @given(separated_problem(), st.sampled_from(["none", "appended", "other"]))
@@ -601,12 +620,7 @@ class TestIncrementalUpdate:
             if query != "none":
                 gp.posterior_batch((x if query == "appended" else probes[0])[None, :])
             gp = gp.with_observation(x, t)
-        fresh = GpModel(kern, noise, DataSet(X, y))
-        means, variances = gp.posterior_batch(probes)
-        ref_means, ref_vars = fresh.posterior_batch(probes)
-        assert_allclose(means, ref_means, rtol=0, atol=1e-6)
-        assert_allclose(variances, ref_vars, rtol=0, atol=1e-8)
-        assert gp.log_det() == pytest.approx(fresh.log_det(), rel=1e-9, abs=1e-9)
+        assert_same_bits(gp, GpModel(kern, noise, DataSet(X, y)), probes)
 
     def test_original_model_unchanged(self):
         kern = KernelConfig()
@@ -890,11 +904,14 @@ class TestFactorizationError:
 
     @pytest.mark.parametrize("signal_variance", [0.3, 0.5, 0.7, 1.0])
     def test_repeated_append_without_noise_raises(self, signal_variance):
-        # the last pivot is 0 in exact arithmetic, whatever round-off leaves of it
+        # the last pivot is 0 in exact arithmetic, whatever round-off leaves of it;
+        # a model built from the two rows appends the second by the same rule
         kern = KernelConfig(signal_variance=signal_variance, length_scale=1.0, jitter=0.0)
         gp = GpModel.empty(kern, 0.0, dim=1).with_observation([0.5], 1.0)
         with pytest.raises(FactorizationError, match=r"\(0, 1\)"):
             gp.with_observation([0.5], 2.0)
+        with pytest.raises(FactorizationError, match=r"\(0, 1\)"):
+            GpModel(kern, 0.0, DataSet([[0.5], [0.5]], [1.0, 2.0]))
 
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(separated_problem(max_points=40), st.integers(0, 2**32 - 1), st.booleans())
@@ -909,8 +926,11 @@ class TestFactorizationError:
         gp = GpModel(kern, 0.0, DataSet(X, y))
         if queried:  # additive control's path: the append reuses the query's column
             gp.posterior_batch(x[None, :])
-        with pytest.raises(FactorizationError, match=rf"\({i}, {len(X)}\)"):
+        with pytest.raises(FactorizationError, match=rf"\({i}, {len(X)}\)") as appended:
             gp.with_observation(x, 0.0)
+        with pytest.raises(FactorizationError) as built:
+            GpModel(kern, 0.0, DataSet(np.vstack([X, x]), np.append(y, 0.0)))
+        assert str(built.value) == str(appended.value)
 
     def test_append_names_its_duplicates_from_one_distance_row(self, monkeypatch):
         # the stored rows already factorized, so only the new point can form a
@@ -931,6 +951,42 @@ class TestFactorizationError:
             "(index pairs [(7, 30)]) with no noise or jitter on the diagonal"
         )
         assert shapes and all(rows * cols <= 30 for rows, cols in shapes)
+
+    @pytest.mark.parametrize("signal_variance", [0.3, 0.5, 0.7, 1.0])
+    def test_rows_1e_8_apart_raise_as_their_appends_do(self, signal_variance):
+        # a squared pivot of ~1e-16 of the diagonal: whether it passes is round-off,
+        # and a model built from the rows must decide as their appends do
+        kern = KernelConfig(signal_variance=signal_variance, length_scale=1.0, jitter=0.0)
+        rows = [[0.5], [0.5 + 1e-8]]
+
+        def outcome(build):
+            try:
+                return build().log_det()
+            except FactorizationError as exc:
+                return str(exc)
+
+        empty = GpModel.empty(kern, 0.0, 1)
+        appended = outcome(lambda: empty.with_observation(rows[0], 1.0).with_observation(rows[1], 2.0))
+        assert outcome(lambda: GpModel(kern, 0.0, DataSet(rows, [1.0, 2.0]))) == appended
+
+    def test_a_data_set_names_the_pairs_of_its_first_failing_row(self, monkeypatch):
+        # row 1 fails first, and one (1, 1) distance row names its duplicate: no all-pairs scan
+        kern = KernelConfig(signal_variance=1.0, length_scale=1.0, jitter=0.0)
+        shapes, sq_dist = [], gp_module._sq_dist
+
+        def counted(rows, cols):
+            shapes.append((len(rows), len(cols)))
+            return sq_dist(rows, cols)
+
+        data = DataSet([[0.0], [0.0], [1.0], [1.0]], [1.0, 2.0, 3.0, 4.0])
+        monkeypatch.setattr(gp_module, "_sq_dist", counted)
+        with pytest.raises(FactorizationError) as exc:
+            GpModel(kern, 0.0, data)
+        assert str(exc.value) == (
+            "training covariance is singular; duplicate input pairs "
+            "(index pairs [(0, 1)]) with no noise or jitter on the diagonal"
+        )
+        assert shapes == [(4, 4), (1, 1)]  # the covariance, then the failing row's distances
 
     def test_targets_that_overflow_alpha_raise(self):
         # alpha = C^{-1} y is about y / 0.5 here: an inf alpha made every mean NaN

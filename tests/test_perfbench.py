@@ -27,14 +27,24 @@ def load(name):
 check, tracing, workloads = load("check"), load("tracing"), load("workloads")
 
 
-@pytest.mark.parametrize("name", ["info_select", "logistic_long", "cart_long", "nonlinear_sweep"])
-def test_a_pass_matches_its_reference(name, tmp_path):
-    workload = workloads.make(name, 0)
+def check_a_pass(name, seed, tmp_path):
+    workload = workloads.make(name, seed)
     workload.build()
     checker = check.Checker(workload, str(tmp_path))
     checker.check(workload.body(str(tmp_path)), dense=True)
     assert checker.attempted > 0
     assert (checker.failed, checker.messages) == (0, [])
+
+
+@pytest.mark.parametrize("name", ["info_select", "logistic_long", "cart_long", "nonlinear_sweep"])
+def test_a_pass_matches_its_reference(name, tmp_path):
+    check_a_pass(name, 0, tmp_path)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_every_info_select_seed_matches_its_reference(seed, tmp_path):
+    # the reference records selections for pool seeds 0-4; each builds four 200-point models
+    check_a_pass("info_select", seed, tmp_path)
 
 
 def test_the_tracer_installs_and_uninstalls():
