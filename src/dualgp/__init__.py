@@ -21,7 +21,6 @@ from .gp import (
 )
 from .harness import EpisodeResult, compute_slice, run_scenario, run_sweep, training_set_hash
 from .info import (
-    CandidateSet,
     SelectionResult,
     sample_candidates,
     select_exhaustive,
@@ -33,7 +32,6 @@ __all__ = [
     "ActionSet",
     "AdditiveControlModel",
     "BlackBoxModel",
-    "CandidateSet",
     "CartParams",
     "CartPlant",
     "CartSideInfoModel",

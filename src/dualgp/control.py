@@ -52,7 +52,7 @@ class ActionSet:
     """Finite, nonempty set of scalar actions, stored as an (n, 1) column."""
 
     def __init__(self, actions):
-        self.actions = _as_rows(actions, 1, "actions")
+        self.actions = _as_rows(actions, 1, "actions").copy()  # the caller keeps its own array
         if len(self.actions) == 0:
             raise ValueError("action set is empty")
         self.actions.setflags(write=False)
@@ -145,13 +145,18 @@ class IoModel:
         return self.assemble(y, actions, means, variances)
 
     def update(self, y, u, y_next):
-        """Absorb one observed transition, with its one finite scalar action, into the GP."""
+        """Absorb one observed transition, with its one finite scalar action, into the GP.
+
+        ValueError unless ``y_next`` has the shape of ``y``.
+        """
         u = np.atleast_1d(np.asarray(u, dtype=float))
         if u.shape != (1,) or not math.isfinite(u[0]):
             raise ValueError(f"an update takes one finite scalar action, got {u}")
-        x, target = self.training_pair(
-            np.asarray(y, dtype=float).reshape(-1), u, np.asarray(y_next, dtype=float).reshape(-1)
-        )
+        y = np.asarray(y, dtype=float).reshape(-1)
+        y_next = np.asarray(y_next, dtype=float).reshape(-1)
+        if y_next.shape != y.shape:
+            raise ValueError(f"y_next has shape {y_next.shape} but y has shape {y.shape}")
+        x, target = self.training_pair(y, u, y_next)
         (gp,) = self.gps
         self.gps = [gp.with_observation(x, target)]
 
@@ -210,10 +215,15 @@ class CartSideInfoModel(IoModel):
             raise ValueError(f"timestep must be finite and > 0, got {timestep}")
         self.timestep = timestep
 
-    def candidate_inputs(self, y, actions):
+    @staticmethod
+    def _velocity(y):
+        """The velocity of a flat cart observation [position, velocity]."""
         if y.shape[0] != 2:
             raise ValueError(f"cart observation must be [position, velocity], got {y}")
-        return np.hstack([np.full((len(actions), 1), y[1]), actions])
+        return y[1]
+
+    def candidate_inputs(self, y, actions):
+        return np.hstack([np.full((len(actions), 1), self._velocity(y)), actions])
 
     def assemble(self, y, actions, raw_means, raw_vars):
         n = len(actions)
@@ -227,7 +237,8 @@ class CartSideInfoModel(IoModel):
         return means[:, 0] + self.timestep * means[:, 1]
 
     def training_pair(self, y, u, y_next):
-        return np.array([y[1], u[0]]), y_next[1]
+        # update() has checked that y_next is shaped as y
+        return np.array([self._velocity(y), u[0]]), y_next[1]
 
 
 @dataclass(frozen=True)

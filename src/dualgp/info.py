@@ -1,11 +1,12 @@
 """Scoring and selection of informative sample points for GP system ID.
 
-Given a model and a finite candidate set, two strategies pick the next
-input to probe. The exhaustive one minimizes the summed log-determinant
-of the doubly bordered covariance over the whole set; working in log
-space keeps the products of determinants from underflowing while leaving
-the argmin unchanged. The greedy one simply takes the candidate with the
-largest posterior variance.
+Given a model and a finite (n, d) array of candidate points (1-D input
+is n scalars), two strategies pick the next input to probe. The
+exhaustive one minimizes the summed log-determinant of the doubly
+bordered covariance over the whole set; working in log space keeps the
+products of determinants from underflowing while leaving the argmin
+unchanged. The greedy one simply takes the candidate with the largest
+posterior variance.
 
 The paper measures information by entropy. A d-variate Gaussian with
 covariance Sigma has entropy H = d/2 (1 + ln 2 pi) + 1/2 ln det Sigma
@@ -21,7 +22,6 @@ import numpy as np
 from .gp import DUPLICATE_TOL, FactorizationError, GpModel, _as_rows, _sq_dist
 
 __all__ = [
-    "CandidateSet",
     "SelectionResult",
     "sample_candidates",
     "select_exhaustive",
@@ -29,24 +29,9 @@ __all__ = [
 ]
 
 
-class CandidateSet:
-    """Finite set of d-dimensional points eligible as the next probe."""
-
-    def __init__(self, points):
-        self.points = _as_rows(points, None, "candidate points")
-        self.points.setflags(write=False)
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-
 @dataclass(frozen=True)
 class SelectionResult:
-    """Chosen candidate: its index in the set, the point, and its score.
+    """Chosen candidate: its index in the set, a copy of the point, and its score.
 
     For exhaustive selection the score is the summed bordered log-det
     (lower = more informative); for greedy selection it is the posterior
@@ -58,29 +43,31 @@ class SelectionResult:
     score: float
 
 
-def _disjoint_sq_dist(model: GpModel, candidates: CandidateSet) -> np.ndarray:
-    """Candidate x training squared distances, once the set is fit to score.
+def _disjoint_sq_dist(model: GpModel, points):
+    """The candidates as (n, d) rows and their n x M squared distances to the training inputs.
 
-    ValueError for an empty set, a dimension mismatch, or a candidate that
-    duplicates a training input: a duplicate makes the sigma=0 case
-    singular and re-measuring a known point look informative.
+    ValueError for non-finite or dimensionless points, an empty set, a
+    dimension mismatch, or a candidate that duplicates a training input: a
+    duplicate makes the sigma=0 case singular and re-measuring a known
+    point look informative.
     """
-    if len(candidates) == 0:
+    points = _as_rows(points, None, "candidate points")
+    if len(points) == 0:
         raise ValueError("candidate set is empty")
-    if candidates.dim != model.dim:
+    if points.shape[1] != model.dim:
         raise ValueError(
-            f"candidates have dimension {candidates.dim}, model expects {model.dim}"
+            f"candidates have dimension {points.shape[1]}, model expects {model.dim}"
         )
-    d2 = _sq_dist(candidates.points, model.data.inputs)
+    d2 = _sq_dist(points, model.data.inputs)
     if d2.size and d2.min() <= DUPLICATE_TOL**2:
         i, j = np.argwhere(d2 <= DUPLICATE_TOL**2)[0]
         raise ValueError(
             f"candidate {i} duplicates training input {j} (within {DUPLICATE_TOL})"
         )
-    return d2
+    return points, d2
 
 
-def select_exhaustive(model: GpModel, candidates: CandidateSet) -> SelectionResult:
+def select_exhaustive(model: GpModel, points) -> SelectionResult:
     """Probe with the least summed bordered log-det; ties take the lowest index.
 
     A probe's score sums ln det of the training covariance bordered by it
@@ -88,9 +75,9 @@ def select_exhaustive(model: GpModel, candidates: CandidateSet) -> SelectionResu
     over the set; a pair's border rows are separate observations, so the
     noise stays off their shared entry even when both are one point.
     """
-    d2 = _disjoint_sq_dist(model, candidates)
+    points, d2 = _disjoint_sq_dist(model, points)
     # transposed, the (M, n) kernel block is in the Fortran order the solve takes
-    schur = model._schur_complement(candidates.points, model.kernel._from_sq_dist(d2).T)
+    schur = model._schur_complement(points, model.kernel._from_sq_dist(d2).T)
     s = np.diag(schur)
     dets = np.outer(s, s) - schur**2
     # self-pair: s^2 - (s - boost)^2 without the cancellation of two near-equal squares
@@ -104,17 +91,15 @@ def select_exhaustive(model: GpModel, candidates: CandidateSet) -> SelectionResu
         )
     scores = len(s) * model.log_det() + np.sum(np.log(dets), axis=0)
     idx = int(np.argmin(scores))
-    return SelectionResult(index=idx, point=candidates.points[idx], score=float(scores[idx]))
+    return SelectionResult(index=idx, point=points[idx].copy(), score=float(scores[idx]))
 
 
-def select_max_variance(model: GpModel, candidates: CandidateSet) -> SelectionResult:
+def select_max_variance(model: GpModel, points) -> SelectionResult:
     """Candidate with the largest posterior variance; ties take the lowest index."""
-    _disjoint_sq_dist(model, candidates)
-    _, variances = model.posterior_batch(candidates.points)
+    points, _ = _disjoint_sq_dist(model, points)
+    _, variances = model.posterior_batch(points)
     idx = int(np.argmax(variances))
-    return SelectionResult(
-        index=idx, point=candidates.points[idx], score=float(variances[idx])
-    )
+    return SelectionResult(index=idx, point=points[idx].copy(), score=float(variances[idx]))
 
 
 def sample_candidates(
@@ -123,8 +108,8 @@ def sample_candidates(
     mode: str = "uniform_random",
     seed=None,
     exclusions=None,
-) -> CandidateSet:
-    """Draw up to n points uniformly from a box domain as a CandidateSet.
+) -> np.ndarray:
+    """Draw up to n points uniformly from a box domain as an (n, d) float array.
 
     ``bounds`` is one (low, high) pair per dimension; the n points are
     reproducible from the seed. ``mode`` accepts only "uniform_random".
@@ -150,4 +135,4 @@ def sample_candidates(
         excl = _as_rows(np.atleast_2d(exclusions), dim, "exclusions")
         pts = pts[np.all(_sq_dist(pts, excl) > DUPLICATE_TOL**2, axis=1)]
 
-    return CandidateSet(pts)
+    return pts

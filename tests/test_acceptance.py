@@ -17,7 +17,7 @@ from dualgp.config import resolve_config
 from dualgp.control import ActionSet, BlackBoxModel, select_action
 from dualgp.gp import DataSet, GpModel, KernelConfig
 from dualgp.harness import compute_slice, run_scenario
-from dualgp.info import CandidateSet, select_exhaustive
+from dualgp.info import select_exhaustive
 from dualgp.plants import CartPlant
 
 
@@ -122,7 +122,7 @@ def test_criterion_2_information_score_identity():
             kernel, noise, DataSet(random_points(rng, m, d), rng.uniform(-1, 1, m))
         )
         n_cand = int(rng.integers(2, 7))
-        theta = CandidateSet(random_points(rng, n_cand, d))
+        theta = random_points(rng, n_cand, d)
         picked = select_exhaustive(model, theta)
 
         # linear-scale replica: product over the set of bordered
@@ -133,9 +133,9 @@ def test_criterion_2_information_score_identity():
         boost = noise + kernel.jitter
         base = np.linalg.det(kernel.cross(X, X) + boost * np.eye(m))
         products = []
-        for probe in theta.points:
+        for probe in theta:
             prod = 1.0
-            for cand in theta.points:
+            for cand in theta:
                 pts = np.vstack([X, cand, probe])
                 prod *= np.linalg.det(kernel.cross(pts, pts) + boost * np.eye(m + 2)) / base
             products.append(prod)

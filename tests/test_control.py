@@ -21,7 +21,7 @@ from dualgp.control import (
     select_action,
 )
 from dualgp.gp import FactorizationError, KernelConfig
-from dualgp.info import CandidateSet, select_max_variance
+from dualgp.info import select_max_variance
 from dualgp.plants import CartPlant, LogisticPlant, PlantDiverged
 
 # dense one-point self-query with a=1, sigma=0.1: k C^-1 y and kappa - k C^-1 k
@@ -124,6 +124,16 @@ class TestActionSet:
         phi = ActionSet([0.0, 1.0])
         with pytest.raises(ValueError):
             phi.actions[0, 0] = 5.0
+
+    def test_actions_are_a_copy(self):
+        # the set neither freezes the caller's array nor follows its later writes
+        a = np.array([[0.0], [1.0]])
+        ActionSet(a)
+        a[0, 0] = 2.0
+        base = np.zeros((3, 2))
+        phi = ActionSet(base[:, :1])
+        base[0, 0] = 5.0
+        assert phi.actions[0, 0] == 0.0
 
 
 class TestWeights:
@@ -274,6 +284,25 @@ class TestPredictions:
         io.update(y, [0.5], np.add(y, 0.2))
         io.update(y, 0.25, np.add(y, 0.1))
         assert len(io.gps[0].data) == 2
+
+    @pytest.mark.parametrize("io,y,y_next,message", [
+        (AdditiveControlModel(KernelConfig(0.5, 1.0, 1e-9), noise_variance=0.0), [0.1],
+         [0.5, 0.7], r"^y_next has shape \(2,\) but y has shape \(1,\)$"),
+        (BlackBoxModel(KernelConfig(0.5, 1.0, 1e-9), noise_variance=0.0), [0.1],
+         [[0.5, 0.7]], r"^y_next has shape \(2,\) but y has shape \(1,\)$"),
+        (CartSideInfoModel(KernelConfig(0.5, 1.0, 1e-9), 0.0, 0.05), [0.1, 0.2, 5.0],
+         [0.5, 0.7], r"^y_next has shape \(2,\) but y has shape \(3,\)$"),
+        (CartSideInfoModel(KernelConfig(0.5, 1.0, 1e-9), 0.0, 0.05), [0.1, 0.2, 5.0],
+         [0.5, 0.7, 1.0], r"^cart observation must be \[position, velocity\], got "),
+        (CartSideInfoModel(KernelConfig(0.5, 1.0, 1e-9), 0.0, 0.05), [0.1],
+         [0.2], r"^cart observation must be \[position, velocity\], got "),
+    ], ids=["additive-wider", "black_box-wider", "cart-narrower", "cart-three", "cart-one"])
+    def test_update_takes_observations_of_one_shape(self, io, y, y_next, message):
+        # the additive model stored 0.2 and dropped the 0.7; the cart stored (0.2, 0.3)
+        # from a y that predict_batch rejects, or raised IndexError
+        with pytest.raises(ValueError, match=message):
+            io.update(y, 0.3, y_next)
+        assert len(io.gps[0].data) == 0
 
 
 class _GivenPrediction:
@@ -427,7 +456,7 @@ class TestSelectAction:
             phi = ActionSet(np.linspace(-1, 1, 9))
             choice = select_action(io, y, 0.0, phi, w1=0.0, w2=2.5)
             rows = io.candidate_inputs(y, phi.actions)
-            picked = select_max_variance(io.gps[0], CandidateSet(rows))
+            picked = select_max_variance(io.gps[0], rows)
             assert choice.index == picked.index
 
     def test_matches_per_action_objective_loop(self):
@@ -486,7 +515,7 @@ class TestSelectAction:
             warnings.simplefilter("error")
             choice = select_action(io, [0.1], 3e200, phi, 0.0, 1.0)
         rows = io.candidate_inputs(np.array([0.1]), phi.actions)
-        picked = select_max_variance(io.gps[0], CandidateSet(rows))
+        picked = select_max_variance(io.gps[0], rows)
         assert choice.index == picked.index
         assert choice.objective_value == -picked.score
 

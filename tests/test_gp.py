@@ -26,7 +26,7 @@ from dualgp.gp import (
     solve_triangular,
 )
 from dualgp.harness import build_action_set, run_scenario
-from dualgp.info import CandidateSet, select_exhaustive
+from dualgp.info import select_exhaustive
 
 # frozen reference values, computed from the closed forms with numpy
 EXP_HALF = 0.6065306597126334       # exp(-0.5)
@@ -868,7 +868,7 @@ class TestStorage:
             m.posterior_batch(rows)
             m.with_observation(row[0], 0.1)  # reuses the repeated query's column
             m.with_observation(rows[0], 0.2)  # a branch, solved afresh
-        select_exhaustive(grown, CandidateSet(rows))
+        select_exhaustive(grown, rows)
         assert [a.tobytes() for a in args + owned] == before
 
 

@@ -12,7 +12,6 @@ from dualgp import gp as gp_module
 from dualgp import info as info_module
 from dualgp.gp import DataSet, FactorizationError, GpModel, KernelConfig
 from dualgp.info import (
-    CandidateSet,
     sample_candidates,
     select_exhaustive,
     select_max_variance,
@@ -50,9 +49,9 @@ def dense_log_dets(model, theta):
             dense_bordered_log_det(
                 model.kernel, model.noise_variance, model.data.inputs, np.vstack([x, probe])
             )
-            for x in theta.points
+            for x in theta
         ]
-        for probe in theta.points
+        for probe in theta
     ])
 
 
@@ -66,7 +65,7 @@ def reference_selection(model, theta):
 
     None where a leading pivot or a determinant is not positive.
     """
-    schur = cross_schur(model, theta.points)
+    schur = cross_schur(model, theta)
     s = np.diag(schur)
     dets = np.outer(s, s) - schur**2
     boost = model.noise_variance + model.kernel.jitter
@@ -112,34 +111,8 @@ def random_instance(rng, max_m=4, max_t=6, dim=1):
     X = rng.uniform(-2, 2, size=(M, dim))
     model = GpModel(kern, noise, DataSet(X, rng.normal(size=M)))
     T = int(rng.integers(1, max_t + 1))
-    theta = CandidateSet(rng.uniform(2.5, 6, size=(T, dim)))
+    theta = rng.uniform(2.5, 6, size=(T, dim))
     return model, theta
-
-
-class TestCandidateSet:
-    def test_basic_shape_handling(self):
-        cs = CandidateSet([[0.0], [1.0]])
-        assert len(cs) == 2 and cs.dim == 1
-        cs1d = CandidateSet([0.0, 1.0, 2.0])
-        assert cs1d.points.shape == (3, 1)
-
-    def test_empty_needs_dim(self):
-        # an empty (0, d) array says its d; 1-D empty input and an (n, 0) array do not
-        cs = CandidateSet(np.zeros((0, 2)))
-        assert len(cs) == 0 and cs.dim == 2
-        with pytest.raises(ValueError, match="candidate points are empty and no dimension"):
-            CandidateSet([])
-        with pytest.raises(ValueError, match=r"have no dimension, got shape \(3, 0\)"):
-            CandidateSet(np.zeros((3, 0)))
-
-    def test_points_read_only(self):
-        cs = CandidateSet([[0.0]])
-        with pytest.raises(ValueError):
-            cs.points[0, 0] = 1.0
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            CandidateSet([[np.nan]])
 
 
 class TestInfoScore:
@@ -148,13 +121,13 @@ class TestInfoScore:
     def test_single_candidate_frozen_value(self):
         # empty data, sigma=0.1: the candidate borders itself, noise on each copy
         model = GpModel.empty(unit_kernel(), 0.1, dim=1)
-        out = select_exhaustive(model, CandidateSet([[0.0]]))
+        out = select_exhaustive(model, np.array([[0.0]]))
         assert out.score == pytest.approx(LOG_021, abs=1e-12)
 
     def test_far_candidates_reduce_to_diagonals(self):
         # the far pair's determinant is the product of its diagonal, 1.1^2
         model = GpModel.empty(unit_kernel(), 0.1, dim=1)
-        out = select_exhaustive(model, CandidateSet([[1e8], [-1e8]]))
+        out = select_exhaustive(model, np.array([[1e8], [-1e8]]))
         assert out.score == pytest.approx(LOG_021 + LOG_121, abs=1e-12)
 
     def test_equals_sum_of_assembled_matrices(self):
@@ -170,14 +143,13 @@ class TestInfoScore:
 class TestSelectExhaustive:
     def test_single_candidate_is_index_zero(self):
         model = GpModel.empty(unit_kernel(), 0.1, dim=1)
-        out = select_exhaustive(model, CandidateSet([[0.3]]))
+        out = select_exhaustive(model, np.array([[0.3]]))
         assert out.index == 0
         assert out.point[0] == 0.3
 
     def test_symmetric_grid_against_dense_oracle(self):
         model = GpModel.empty(unit_kernel(), 0.1, dim=1)
         pts = np.array([[-1.0], [0.0], [1.0]])
-        theta = CandidateSet(pts)
         oracle = []
         for probe in pts:
             oracle.append(
@@ -188,14 +160,14 @@ class TestSelectExhaustive:
                     for x in pts
                 )
             )
-        out = select_exhaustive(model, theta)
+        out = select_exhaustive(model, pts)
         assert out.index == int(np.argmin(oracle))
         assert out.score == pytest.approx(min(oracle), abs=1e-10)
 
     def test_exact_tie_takes_lowest_index(self):
         # symmetric pair around an empty model: scores are float-identical
         model = GpModel.empty(unit_kernel(), 0.1, dim=1)
-        out = select_exhaustive(model, CandidateSet([[-1.0], [1.0]]))
+        out = select_exhaustive(model, np.array([[-1.0], [1.0]]))
         assert out.index == 0
 
     def test_log_argmin_matches_linear_product_argmin(self):
@@ -212,7 +184,7 @@ class TestSelectExhaustive:
         # no noise or jitter: a probe bordered by itself is singular
         model = GpModel(unit_kernel(), 0.0, DataSet([[0.0]], [1.0]))
         with pytest.raises(FactorizationError, match="^bordered covariance is singular"):
-            select_exhaustive(model, CandidateSet([[1.0], [2.0]]))
+            select_exhaustive(model, np.array([[1.0], [2.0]]))
 
     def test_noise_free_scores_match_exact_arithmetic(self):
         # with no noise a self-pair determinant is about 2 * s * jitter;
@@ -225,8 +197,8 @@ class TestSelectExhaustive:
             )
             data = DataSet(rng.uniform(-2, 2, size=(3, 1)), rng.normal(size=3))
             model = GpModel(kern, 0.0, data)
-            theta = CandidateSet(rng.uniform(-2, 6, size=(8, 1)))
-            schur = [[Fraction(v) for v in row] for row in cross_schur(model, theta.points)]
+            theta = rng.uniform(-2, 6, size=(8, 1))
+            schur = [[Fraction(v) for v in row] for row in cross_schur(model, theta)]
             boost = Fraction(kern.jitter)
             n = len(theta)
             scores = []
@@ -247,7 +219,7 @@ class TestSelectExhaustive:
         # score must be those of a block from kernel.cross to the last bit, and
         # the kernel must keep its expression, which the scores' bits depend on
         model, theta = problem
-        kern, X, P = model.kernel, model.data.inputs, theta.points
+        kern, X, P = model.kernel, model.data.inputs, theta
         d2 = sum((P[:, None, j] - X[None, :, j]) ** 2 for j in range(model.dim))
         expected = kern.signal_variance * np.exp(-0.5 * d2 / kern.length_scale**2)
         assert np.array_equal(kern.cross(P, X), expected)
@@ -265,8 +237,7 @@ class TestSelectExhaustive:
             model, theta = random_instance(rng)
             out = select_exhaustive(model, theta)
             perm = rng.permutation(len(theta))
-            shuffled = CandidateSet(theta.points[perm])
-            out2 = select_exhaustive(model, shuffled)
+            out2 = select_exhaustive(model, theta[perm])
             order = np.sort(np.sum(dense_log_dets(model, theta), axis=1))
             if len(order) > 1 and order[1] - order[0] < 1e-12:
                 continue  # tied instance, indices may legitimately differ
@@ -276,23 +247,23 @@ class TestSelectExhaustive:
 class TestSelectMaxVariance:
     def test_far_point_beats_near_point(self):
         model = GpModel(unit_kernel(), 0.1, DataSet([[0.0]], [1.0]))
-        theta = CandidateSet([[0.1], [2.0]])
+        theta = np.array([[0.1], [2.0]])
         out = select_max_variance(model, theta)
         assert out.index == 1
-        _, variances = model.posterior_batch(theta.points)
+        _, variances = model.posterior_batch(theta)
         assert variances[0] == pytest.approx(VAR_NEAR, abs=1e-12)
         assert variances[1] == pytest.approx(VAR_FAR, abs=1e-12)
         assert out.score == pytest.approx(VAR_FAR, abs=1e-12)
 
     def test_empty_model_ties_to_index_zero(self):
         model = GpModel.empty(unit_kernel(), 0.1, dim=1)
-        out = select_max_variance(model, CandidateSet([[3.0], [-2.0], [0.5]]))
+        out = select_max_variance(model, np.array([[3.0], [-2.0], [0.5]]))
         assert out.index == 0
 
     def test_candidate_on_training_input_rejected(self):
         model = GpModel(unit_kernel(), 0.1, DataSet([[0.5]], [1.0]))
         with pytest.raises(ValueError, match="duplicates training input"):
-            select_max_variance(model, CandidateSet([[0.5], [1.0]]))
+            select_max_variance(model, np.array([[0.5], [1.0]]))
 
 
 SELECTORS = [select_exhaustive, select_max_variance]
@@ -301,16 +272,59 @@ SELECTORS = [select_exhaustive, select_max_variance]
 class TestCandidateChecks:
     @pytest.mark.parametrize("select", SELECTORS)
     def test_empty_set_rejected(self, select):
+        # an empty (0, d) array says its d, so it is empty rather than dimensionless
+        for dim in (1, 2):
+            model = GpModel(unit_kernel(), 0.1, DataSet([[0.5] * dim], [1.0]))
+            with pytest.raises(ValueError, match="^candidate set is empty$"):
+                select(model, np.zeros((0, dim)))
+
+    @pytest.mark.parametrize("select", SELECTORS)
+    @pytest.mark.parametrize("points,message", [
+        ([], r"^candidate points are empty and no dimension was given$"),
+        (np.zeros((3, 0)), r"^candidate points have no dimension, got shape \(3, 0\)$"),
+        ([[np.nan]], "^candidate points contain non-finite values$"),
+        ([[0.0], [np.inf]], "^candidate points contain non-finite values$"),
+    ], ids=["empty-list", "no-dimension", "nan", "inf"])
+    def test_points_without_dimension_or_finite_values_rejected(self, select, points, message):
         model = GpModel(unit_kernel(), 0.1, DataSet([[0.5]], [1.0]))
-        with pytest.raises(ValueError, match="^candidate set is empty$"):
-            select(model, CandidateSet(np.zeros((0, 1))))
+        with pytest.raises(ValueError, match=message):
+            select(model, points)
 
     @pytest.mark.parametrize("select", SELECTORS)
     def test_dimension_mismatch_rejected(self, select):
         model = GpModel(unit_kernel(), 0.1, DataSet([[0.5, 0.5]], [1.0]))
         with pytest.raises(ValueError,
                            match="^candidates have dimension 1, model expects 2$"):
-            select(model, CandidateSet([[0.5]]))
+            select(model, np.array([[0.5]]))
+
+    @pytest.mark.parametrize("select", SELECTORS)
+    def test_one_dimensional_input_is_n_scalars(self, select):
+        model = GpModel(unit_kernel(), 0.1, DataSet([[0.5]], [1.0]))
+        flat = select(model, np.array([1.5, -0.25, 0.75]))
+        column = select(model, np.array([[1.5], [-0.25], [0.75]]))
+        assert flat.point.shape == (1,)
+        assert (flat.index, flat.point.tobytes(), flat.score) == (
+            column.index, column.point.tobytes(), column.score)
+
+    @pytest.mark.parametrize("select", SELECTORS)
+    def test_list_array_and_read_only_array_select_alike(self, select):
+        rng = np.random.default_rng(47)
+        X = rng.uniform(-2, 2, size=(6, 2))
+        model = GpModel(KernelConfig(0.8, 0.9, 1e-9), 0.01, DataSet(X, rng.normal(size=6)))
+        points = rng.uniform(-2, 2, size=(7, 2))
+        frozen = points.copy()
+        frozen.setflags(write=False)
+        picks = [select(model, p) for p in (points.tolist(), points, frozen)]
+        assert len({(p.index, p.point.tobytes(), p.score) for p in picks}) == 1
+
+    @pytest.mark.parametrize("select", SELECTORS)
+    def test_point_is_a_copy_of_the_callers_row(self, select):
+        model = GpModel(unit_kernel(), 0.1, DataSet([[0.5]], [1.0]))
+        points = np.array([[1.5], [-0.25], [0.75]])
+        out = select(model, points)
+        chosen = points[out.index].copy()
+        points[:] = 9.0
+        assert np.array_equal(out.point, chosen)
 
 
 class TestDuplicateCandidates:
@@ -322,13 +336,13 @@ class TestDuplicateCandidates:
     def test_first_pair_named(self, select):
         # candidates 1 and 2 both duplicate an input; the lowest candidate is named
         with pytest.raises(ValueError) as exc:
-            select(self.two_point_model(), CandidateSet([[1.0], [0.5], [2.0]]))
+            select(self.two_point_model(), np.array([[1.0], [0.5], [2.0]]))
         assert str(exc.value) == "candidate 1 duplicates training input 1 (within 1e-12)"
 
     @pytest.mark.parametrize("select", SELECTORS)
     @pytest.mark.parametrize("offset,rejected", [(0.9e-12, True), (1.1e-12, False)])
     def test_tolerance_edge(self, select, offset, rejected):
-        theta = CandidateSet([[1.0], [0.5 + offset]])
+        theta = np.array([[1.0], [0.5 + offset]])
         if rejected:
             with pytest.raises(ValueError, match="candidate 1 duplicates training input 1"):
                 select(self.two_point_model(), theta)
@@ -338,7 +352,7 @@ class TestDuplicateCandidates:
     @pytest.mark.parametrize("select", SELECTORS)
     def test_empty_model_has_nothing_to_duplicate(self, select):
         model = GpModel.empty(unit_kernel(), 0.1, dim=1)
-        assert select(model, CandidateSet([[1.0], [0.5], [2.0]])).index in (0, 1, 2)
+        assert select(model, np.array([[1.0], [0.5], [2.0]])).index in (0, 1, 2)
 
 
 class TestWorkPerSelection:
@@ -387,16 +401,16 @@ class TestSampleCandidates:
         lows = np.array([lo for lo, _ in bounds])
         highs = np.array([hi for _, hi in bounds])
         want = np.random.default_rng(seed).uniform(lows, highs, size=(n, len(bounds)))
-        assert np.array_equal(sample_candidates(bounds, n, seed=seed).points, want)
+        assert np.array_equal(sample_candidates(bounds, n, seed=seed), want)
 
     def test_random_mode_reproducible_and_bounded(self):
         a = sample_candidates([(-2.0, 3.0)], 20, seed=7)
         b = sample_candidates([(-2.0, 3.0)], 20, mode="uniform_random", seed=7)
-        assert np.array_equal(a.points, b.points)
+        assert np.array_equal(a, b)
         assert len(a) == 20
-        assert np.all(a.points >= -2.0) and np.all(a.points <= 3.0)
+        assert np.all(a >= -2.0) and np.all(a <= 3.0)
         c = sample_candidates([(-2.0, 3.0)], 20, seed=8)
-        assert not np.array_equal(a.points, c.points)
+        assert not np.array_equal(a, c)
 
     def test_grid_mode_rejected(self):
         # a caller asking for a grid gets an error, not random points in its place
@@ -408,15 +422,15 @@ class TestSampleCandidates:
     def test_exclusions_dropped(self):
         # exclude two drawn points, one exactly and one within the 1e-12 tolerance
         bounds = [(0.0, 1.0), (-1.0, 1.0)]
-        drawn = sample_candidates(bounds, 10, seed=3).points
+        drawn = sample_candidates(bounds, 10, seed=3)
         excl = [drawn[2], drawn[7] + [0.5e-12, 0.0], [5.0, 5.0]]
         cs = sample_candidates(bounds, 10, seed=3, exclusions=excl)
-        assert np.array_equal(cs.points, np.delete(drawn, [2, 7], axis=0))
+        assert np.array_equal(cs, np.delete(drawn, [2, 7], axis=0))
 
     def test_full_exclusion_yields_empty_set(self):
-        drawn = sample_candidates([(0.0, 1.0)], 5, seed=4).points
+        drawn = sample_candidates([(0.0, 1.0)], 5, seed=4)
         cs = sample_candidates([(0.0, 1.0)], 5, seed=4, exclusions=drawn)
-        assert len(cs) == 0 and cs.dim == 1
+        assert cs.shape == (0, 1)
 
     def test_invalid_bounds_rejected(self):
         with pytest.raises(ValueError):
@@ -441,11 +455,11 @@ class TestAggregateLogDet:
             M = int(rng.integers(0, 5))
             X = rng.uniform(-2, 2, size=(M, 1))
             model = GpModel(kern, noise, DataSet(X, rng.normal(size=M)))
-            theta = CandidateSet(rng.uniform(2.5, 6, size=(5, 1)))
+            theta = rng.uniform(2.5, 6, size=(5, 1))
 
             def summed(inputs):
                 return sum(dense_bordered_log_det(kern, noise, inputs, x[None, :])
-                           for x in theta.points)
+                           for x in theta)
 
             before = summed(X)
             for choose in (select_exhaustive, select_max_variance):
@@ -463,7 +477,7 @@ class TestAggregateLogDet:
         for _ in range(total):
             model, theta = random_instance(rng, max_m=3, max_t=4)
             if len(theta) < 2:
-                theta = CandidateSet(rng.uniform(2.5, 6, size=(3, 1)))
+                theta = rng.uniform(2.5, 6, size=(3, 1))
             hits += int(
                 select_max_variance(model, theta).index
                 == select_exhaustive(model, theta).index

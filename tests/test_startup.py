@@ -57,12 +57,22 @@ def test_scipy_linalg_shares_the_loaded_extension(first):
     )
 
 
-@pytest.mark.parametrize("module", [
-    "dualgp", "dualgp.config", "dualgp.harness", "dualgp.control",
+SUBMODULES = [
+    "dualgp.config", "dualgp.harness", "dualgp.control",
     "dualgp.plants", "dualgp.gp", "dualgp.info",
-])
+]
+
+
+@pytest.mark.parametrize("module", ["dualgp", *SUBMODULES])
 def test_every_public_name_resolves(module):
     # tools that wrap the public API look each __all__ entry up by name
     mod = importlib.import_module(module)
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert not missing, missing
+    if module == "dualgp":
+        # each package name is one submodule's public name, as the same object
+        subs = [importlib.import_module(sub) for sub in SUBMODULES]
+        homes = {name: [sub for sub in subs if name in sub.__all__] for name in mod.__all__}
+        stray = {name: [sub.__name__ for sub in found] for name, found in homes.items()
+                 if len(found) != 1 or getattr(found[0], name) is not getattr(mod, name)}
+        assert not stray, stray
