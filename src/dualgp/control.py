@@ -102,35 +102,39 @@ class Weights:
 
 
 class IoModel:
-    """Shared shape of the learned input/output maps.
+    """Shared shape of the learned input/output maps; the black-box map by default.
 
-    Each structure learns one scalar map with one GP, held in the one-item
-    list ``gps``. Subclasses define how a (current output, action) pair
-    becomes its input row, what scalar it is trained on, and how its
-    posterior turns back into a prediction of the next output; update()
-    replaces the GP.
+    Each structure learns one scalar map with one GP of ``input_dim``
+    inputs, held in the one-item list ``gps``. A structure defines how a
+    (current output, action) pair becomes its input row, the one row that
+    both the query scores and update() appends; by default the GP's
+    posterior is the next output and its scalar target is ``y_next[0]``.
+    update() replaces the GP.
     """
 
-    def __init__(self, gps):
-        self.gps = list(gps)
+    input_dim: int
 
-    # subclasses: build the (n_actions, d_in) GP input rows for one output y
+    def __init__(self, kernel: KernelConfig, noise_variance: float):
+        self.gps = [GpModel.empty(kernel, noise_variance, self.input_dim)]
+
+    # subclasses: build the (n_actions, input_dim) GP input rows for one output y
     def candidate_inputs(self, y, actions: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    # subclasses: turn the GP posterior, shape (n_actions,) each, into
-    # next-output mean/variance, shapes (n_actions, width of the observation)
+    # the GP posterior, shape (n_actions,) each, as next-output mean/variance,
+    # shapes (n_actions, width of the observation)
     def assemble(self, y, actions, raw_means, raw_vars):
-        raise NotImplementedError
+        return raw_means[:, None], raw_vars[:, None]
 
-    # subclasses: the number per action that the objective compares with the
-    # reference, shape (n_actions,)
+    # the number per action that the objective compares with the reference,
+    # shape (n_actions,)
     def tracking_values(self, y, actions, means):
         return means[:, 0]
 
-    # subclasses: one transition's GP input row and scalar target
-    def training_pair(self, y, u, y_next):
-        raise NotImplementedError
+    # one transition's scalar GP target; update() calls it after candidate_inputs,
+    # with y nonempty and y_next shaped as y
+    def target(self, y, u, y_next):
+        return y_next[0]
 
     def predict_batch(self, y, actions: np.ndarray):
         """Next-output posterior for every scalar action: (means, variances),
@@ -147,18 +151,21 @@ class IoModel:
     def update(self, y, u, y_next):
         """Absorb one observed transition, with its one finite scalar action, into the GP.
 
-        ValueError unless ``y_next`` has the shape of ``y``.
+        The GP's new row is the one the query scored for ``u``.
+        ValueError for an empty ``y``, or unless ``y_next`` has the shape of ``y``.
         """
         u = np.atleast_1d(np.asarray(u, dtype=float))
         if u.shape != (1,) or not math.isfinite(u[0]):
             raise ValueError(f"an update takes one finite scalar action, got {u}")
         y = np.asarray(y, dtype=float).reshape(-1)
         y_next = np.asarray(y_next, dtype=float).reshape(-1)
+        if y.size == 0:
+            raise ValueError("an update takes a nonempty observation y")
         if y_next.shape != y.shape:
             raise ValueError(f"y_next has shape {y_next.shape} but y has shape {y.shape}")
-        x, target = self.training_pair(y, u, y_next)
+        x = self.candidate_inputs(y, u[None, :])[0]
         (gp,) = self.gps
-        self.gps = [gp.with_observation(x, target)]
+        self.gps = [gp.with_observation(x, self.target(y, u, y_next))]
 
 
 class AdditiveControlModel(IoModel):
@@ -170,8 +177,7 @@ class AdditiveControlModel(IoModel):
     structure needs no exploration incentive.
     """
 
-    def __init__(self, kernel: KernelConfig, noise_variance: float):
-        super().__init__([GpModel.empty(kernel, noise_variance, 1)])
+    input_dim = 1
 
     def candidate_inputs(self, y, actions):
         return y[None, :].repeat(len(actions), axis=0)
@@ -179,24 +185,17 @@ class AdditiveControlModel(IoModel):
     def assemble(self, y, actions, raw_means, raw_vars):
         return raw_means[:, None] + actions, raw_vars[:, None]
 
-    def training_pair(self, y, u, y_next):
-        return y, y_next[0] - u[0]
+    def target(self, y, u, y_next):
+        return y_next[0] - u[0]
 
 
 class BlackBoxModel(IoModel):
     """No structural knowledge: the GP maps (y, u) directly to the next y."""
 
-    def __init__(self, kernel: KernelConfig, noise_variance: float):
-        super().__init__([GpModel.empty(kernel, noise_variance, 2)])
+    input_dim = 2
 
     def candidate_inputs(self, y, actions):
         return np.hstack([y[None, :].repeat(len(actions), axis=0), actions])
-
-    def assemble(self, y, actions, raw_means, raw_vars):
-        return raw_means[:, None], raw_vars[:, None]
-
-    def training_pair(self, y, u, y_next):
-        return np.concatenate([y, u]), y_next[0]
 
 
 class CartSideInfoModel(IoModel):
@@ -209,21 +208,18 @@ class CartSideInfoModel(IoModel):
     pos + T*vel + T*predicted_vel.
     """
 
+    input_dim = 2
+
     def __init__(self, kernel: KernelConfig, noise_variance: float, timestep: float):
-        super().__init__([GpModel.empty(kernel, noise_variance, 2)])
+        super().__init__(kernel, noise_variance)
         if not (0 < timestep < np.inf):
             raise ValueError(f"timestep must be finite and > 0, got {timestep}")
         self.timestep = timestep
 
-    @staticmethod
-    def _velocity(y):
-        """The velocity of a flat cart observation [position, velocity]."""
+    def candidate_inputs(self, y, actions):
         if y.shape[0] != 2:
             raise ValueError(f"cart observation must be [position, velocity], got {y}")
-        return y[1]
-
-    def candidate_inputs(self, y, actions):
-        return np.hstack([np.full((len(actions), 1), self._velocity(y)), actions])
+        return np.hstack([np.full((len(actions), 1), y[1]), actions])
 
     def assemble(self, y, actions, raw_means, raw_vars):
         n = len(actions)
@@ -236,9 +232,8 @@ class CartSideInfoModel(IoModel):
         # the predicted velocity
         return means[:, 0] + self.timestep * means[:, 1]
 
-    def training_pair(self, y, u, y_next):
-        # update() has checked that y_next is shaped as y
-        return np.array([self._velocity(y), u[0]]), y_next[1]
+    def target(self, y, u, y_next):
+        return y_next[1]
 
 
 @dataclass(frozen=True)

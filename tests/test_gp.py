@@ -245,7 +245,7 @@ def point_pair(draw):
 
 
 class TestKernelHelpers:
-    @settings(derandomize=True, deadline=None, max_examples=300)
+    @settings(max_examples=300)
     # l over the scales KernelConfig accepts, whose square is nonzero and finite
     @given(point_pair(), st.floats(1e-300, 1e300), st.floats(1.6e-162, 1.34e154))
     def test_same_bits_as_the_first_formulas(self, pair, a, l):
@@ -420,7 +420,7 @@ class TestPosterior:
         means, _ = gp.posterior_batch(Q)
         assert means.tobytes() == (gp.kernel.cross(X, Q).T @ gp._alpha).tobytes()
 
-    @settings(derandomize=True, deadline=None, max_examples=30)
+    @settings(max_examples=30)
     @given(st.integers(1, 1100), st.integers(1, 130), st.integers(0, 2**32 - 1))
     def test_repeated_row_means_keep_the_n_row_bits(self, M, n, seed):
         # the (4 + n mod 4)-row product against the n-row one it stands for, for
@@ -467,7 +467,7 @@ class TestPosterior:
             assert mean == pytest.approx(mean_ref, abs=1e-12)
             assert var == pytest.approx(var_ref, abs=1e-12)
 
-    @settings(derandomize=True, deadline=None, max_examples=40)
+    @settings(max_examples=40)
     @given(separated_problem(max_points=150), st.sampled_from(["repeated", "distinct", "mixed"]),
            st.lists(st.integers(0, 4), min_size=1, max_size=120))
     def test_rows_in_every_shape_match_a_dense_solve(self, problem, shape, picks):
@@ -530,7 +530,7 @@ class TestSolveTriangular:
                 expected = scipy.linalg.solve_triangular(chol, rhs, lower=True, trans=int(trans))
                 assert solve_triangular(chol, rhs, trans=trans).tobytes() == expected.tobytes()
 
-    @settings(derandomize=True, deadline=None, max_examples=150)
+    @settings(max_examples=150)
     @given(st.integers(1, 300), st.floats(0.0, 1.0), st.integers(1, 3), st.booleans(),
            st.integers(0, 2**32 - 1))
     def test_buffer_rows_match_a_dense_factor(self, M, spare, cols, trans, seed):
@@ -609,7 +609,7 @@ class TestIncrementalUpdate:
             fresh = GpModel(kern, 0.05, DataSet(pts, ys))
             assert_same_bits(gp, fresh, rng.uniform(-2, 2, size=(1, 2)))
 
-    @settings(derandomize=True, deadline=None, max_examples=40)
+    @settings(max_examples=40)
     @given(separated_problem(), st.sampled_from(["none", "appended", "other"]))
     def test_append_chain_matches_a_fresh_model(self, problem, query):
         # a one-row query of the appended row hands the append its solved column;
@@ -913,7 +913,7 @@ class TestFactorizationError:
         with pytest.raises(FactorizationError, match=r"\(0, 1\)"):
             GpModel(kern, 0.0, DataSet([[0.5], [0.5]], [1.0, 2.0]))
 
-    @settings(derandomize=True, deadline=None, max_examples=60)
+    @settings(max_examples=60)
     @given(separated_problem(max_points=40), st.integers(0, 2**32 - 1), st.booleans())
     def test_append_at_round_off_distance_raises(self, problem, draw, queried):
         # the new input is a few ulps from a stored one: in exact arithmetic its
@@ -954,8 +954,8 @@ class TestFactorizationError:
 
     @pytest.mark.parametrize("signal_variance", [0.3, 0.5, 0.7, 1.0])
     def test_rows_1e_8_apart_raise_as_their_appends_do(self, signal_variance):
-        # a squared pivot of ~1e-16 of the diagonal: whether it passes is round-off,
-        # and a model built from the rows must decide as their appends do
+        # a squared pivot of ~1e-16 of the diagonal, below the round-off floor:
+        # a model built from the rows must fail as their appends do
         kern = KernelConfig(signal_variance=signal_variance, length_scale=1.0, jitter=0.0)
         rows = [[0.5], [0.5 + 1e-8]]
 
@@ -968,6 +968,31 @@ class TestFactorizationError:
         empty = GpModel.empty(kern, 0.0, 1)
         appended = outcome(lambda: empty.with_observation(rows[0], 1.0).with_observation(rows[1], 2.0))
         assert outcome(lambda: GpModel(kern, 0.0, DataSet(rows, [1.0, 2.0]))) == appended
+
+    @pytest.mark.parametrize("spacing", [1e-8, 2e-8, 5e-8, 1e-7])
+    def test_rows_the_solve_cannot_resolve_raise(self, spacing):
+        # squared pivots 1-23 times the rounding of c - w^T w: the 1e-8 pair was
+        # accepted with |alpha| 3e15 and a midpoint mean of 1.367 for 1.5
+        kern = KernelConfig(signal_variance=0.7, length_scale=1.0, jitter=0.0)
+        rows = [[0.5], [0.5 + spacing]]
+        unresolved = "^training covariance is not positive definite$"
+        with pytest.raises(FactorizationError, match=unresolved):
+            GpModel(kern, 0.0, DataSet(rows, [1.0, 2.0]))
+        first = GpModel.empty(kern, 0.0, 1).with_observation(rows[0], 1.0)
+        with pytest.raises(FactorizationError, match=unresolved):
+            first.with_observation(rows[1], 2.0)
+
+    @pytest.mark.parametrize("spacing", [3e-7, 1e-6])
+    def test_rows_the_floor_accepts_predict_the_exact_posterior(self, spacing):
+        # at the midpoint of two noise-free rows the posterior is closed-form:
+        # mean c (y1 + y2) / (1 + e), variance a expm1(-s)^2 / (1 + e), with
+        # s = spacing^2 / (4 l^2), c = exp(-s / 2) and e = exp(-2 s)
+        a, s = 0.7, spacing**2 / 4
+        c, e = np.exp(-s / 2), np.exp(-2 * s)
+        gp = GpModel(KernelConfig(a, 1.0, 0.0), 0.0, DataSet([[0.5], [0.5 + spacing]], [1.0, 2.0]))
+        (mean,), (variance,) = gp.posterior_batch([0.5 + spacing / 2])
+        assert mean == pytest.approx(c * 3.0 / (1 + e), rel=1e-3)
+        assert variance == pytest.approx(a * np.expm1(-s) ** 2 / (1 + e), abs=1e-3)
 
     def test_a_data_set_names_the_pairs_of_its_first_failing_row(self, monkeypatch):
         # row 1 fails first, and one (1, 1) distance row names its duplicate: no all-pairs scan

@@ -212,7 +212,7 @@ class TestSelectExhaustive:
             assert out.index == int(np.argmin(scores))
             assert out.score == pytest.approx(scores[out.index], rel=1e-12)
 
-    @settings(derandomize=True, deadline=None, max_examples=80)
+    @settings(max_examples=80)
     @given(selection_problem())
     def test_bit_identical_to_the_cross_built_schur_complement(self, problem):
         # selection builds its kernel block from its own distances; index and
@@ -388,7 +388,7 @@ class TestWorkPerSelection:
 
 
 class TestSampleCandidates:
-    @settings(derandomize=True, deadline=None, max_examples=60)
+    @settings(max_examples=60)
     @given(
         bounds=st.lists(
             st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)).filter(lambda b: b[0] < b[1]),
