@@ -13,6 +13,7 @@ import math
 import sys
 from dataclasses import asdict, fields
 
+from .control import _MAX_GRID_INTERVALS
 from .plants import CartParams, LogisticPlant
 
 __all__ = ["ConfigError", "SCENARIOS", "load_config", "resolve_config", "scenario_defaults"]
@@ -98,9 +99,6 @@ _CHOICES = {"plant.coupling": ("additive", "cosine"), "selection": ("dual", "ben
 
 # initial_data's random draws, each checked like any other leaf
 _DRAWS = {"count": 1, "low": 0.0, "high": 0.0}
-
-# bound on (max - min) / step; the shipped action grids hold 21-101 actions
-_MAX_GRID_INTERVALS = 10**6
 
 
 class ConfigError(ValueError):

@@ -48,6 +48,10 @@ class EpisodeAborted(RuntimeError):
         self.step, self.records = step, records
 
 
+# bound on (max - min) / step; the shipped action grids hold 21-101 actions
+_MAX_GRID_INTERVALS = 10**6
+
+
 class ActionSet:
     """Finite, nonempty set of scalar actions, stored as an (n, 1) column."""
 
@@ -64,11 +68,23 @@ class ActionSet:
             raise ValueError(f"need high > low and step > 0, got ({low}, {high}, {step})")
         if not np.isfinite(high - low):
             raise ValueError(f"need a finite span high - low, got ({low}, {high})")
-        count = int(np.floor((high - low) / step + 1e-9)) + 1
+        intervals = float(high - low) / float(step)  # a Python float: inf, not a warning
+        if not intervals < _MAX_GRID_INTERVALS:
+            raise ValueError(f"(max - min) / step must be < {_MAX_GRID_INTERVALS}, "
+                             f"got {intervals:.3g}")
+        count = int(np.floor(intervals + 1e-9)) + 1
         return cls(low + step * np.arange(count))
 
     def __len__(self) -> int:
         return self.actions.shape[0]
+
+
+def _check_weights(w1, *w2):
+    """ValueError unless every weight is finite and >= 0 and w1 + the least w2 is > 0."""
+    if not all(0 <= w < np.inf for w in (w1, *w2)):
+        raise ValueError("weights must be finite and non-negative")
+    if w1 + min(w2) <= 0:
+        raise ValueError("w1 + w2(t) must stay positive for all t")
 
 
 @dataclass(frozen=True)
@@ -86,14 +102,10 @@ class Weights:
     schedule_steps: int = 0
 
     def __post_init__(self):
-        if not all(0 <= w < np.inf for w in (self.w1, self.w2_start, self.w2_end)):
-            raise ValueError("weights must be finite and non-negative")
+        # linear schedule: w2(t) is least at an endpoint
+        _check_weights(self.w1, self.w2_start, self.w2_end)
         if not (0 <= self.schedule_steps < np.inf):
             raise ValueError(f"schedule_steps must be finite and >= 0, got {self.schedule_steps}")
-        # linear schedule: if both endpoints vanish with w1=0 the objective
-        # is degenerate at some t
-        if self.w1 + min(self.w2_start, self.w2_end) <= 0:
-            raise ValueError("w1 + w2(t) must stay positive for all t")
 
     def w2_at(self, t: int) -> float:
         if self.schedule_steps <= 0 or t >= self.schedule_steps:
@@ -127,8 +139,8 @@ class IoModel:
         return raw_means[:, None], raw_vars[:, None]
 
     # the number per action that the objective compares with the reference,
-    # shape (n_actions,)
-    def tracking_values(self, y, actions, means):
+    # shape (n_actions,), from predict_batch's means
+    def tracking_values(self, means):
         return means[:, 0]
 
     # one transition's scalar GP target; update() calls it after candidate_inputs,
@@ -140,10 +152,7 @@ class IoModel:
         """Next-output posterior for every scalar action: (means, variances),
         each of shape (n_actions, width of the observation)."""
         y = np.asarray(y, dtype=float).reshape(-1)
-        return self._predict(y, _as_rows(actions, 1, "actions"))
-
-    def _predict(self, y, actions):
-        """predict_batch for a flat float ``y`` and checked (n, 1) ``actions``."""
+        actions = _as_rows(actions, 1, "actions")
         (gp,) = self.gps
         means, variances = gp.posterior_batch(self.candidate_inputs(y, actions))
         return self.assemble(y, actions, means, variances)
@@ -227,7 +236,7 @@ class CartSideInfoModel(IoModel):
         variances = np.column_stack([np.zeros(n), raw_vars])
         return means, variances
 
-    def tracking_values(self, y, actions, means):
+    def tracking_values(self, means):
         # two-step position: the known kinematic step plus one more using
         # the predicted velocity
         return means[:, 0] + self.timestep * means[:, 1]
@@ -271,12 +280,11 @@ def _finite_reference(value) -> float:
 
 
 def _score(io: IoModel, y, actions, r: float, w1: float, w2: float):
-    """Objectives of the checked (n, 1) ``actions``, their predictions, and d = tracked - r."""
-    y = np.asarray(y, dtype=float).reshape(-1)
-    means, variances = io._predict(y, actions)
+    """Objectives of ``actions``, their predictions, and d = tracked - r."""
+    means, variances = io.predict_batch(y, actions)
     # sqrt(d * d), not abs(d): a distance above about 1.34e154 reads inf, the value traces keep
     with np.errstate(over="ignore"):
-        d = io.tracking_values(y, actions, means) - r
+        d = io.tracking_values(means) - r
         track_err = np.sqrt(d * d)
     scores = -w2 * np.add.reduce(variances, axis=1)
     if w1:  # with w1 = 0 an overflowed distance would make 0 * inf = nan
@@ -285,7 +293,11 @@ def _score(io: IoModel, y, actions, r: float, w1: float, w2: float):
 
 
 def select_action(io: IoModel, y, r, phi: ActionSet, w1: float, w2: float) -> ActionChoice:
-    """Best action in phi for the finite real reference ``r``; ties take the lowest index."""
+    """Best action in phi for the finite real reference ``r``; ties take the lowest index.
+
+    ``w1`` and ``w2`` follow the rules of ``Weights``, or ValueError.
+    """
+    _check_weights(w1, w2)
     scores, means, variances, d = _score(io, y, phi.actions, _finite_reference(r), w1, w2)
     idx = int(scores.argmin())
     if not math.isfinite(scores[idx]):  # every distance overflowed: take the nearest
@@ -362,7 +374,7 @@ class _ExactModel:
         self.plant = plant
         self.tracking_values = io.tracking_values
 
-    def _predict(self, y, actions):
+    def predict_batch(self, y, actions):
         plant = self.plant
         means = np.array([plant.output_of(plant.simulate(plant.state, float(a[0])))
                           for a in actions])

@@ -111,6 +111,12 @@ class TestActionSet:
             with pytest.raises(ValueError, match="finite span"):
                 ActionSet.from_grid(low, high, 1.0)
 
+    @pytest.mark.parametrize("low,high,step", [(0.0, 1.0, 1e-320), (0.0, 2.0, 1e-6)])
+    def test_grid_of_a_million_intervals_or_more_rejected(self, low, high, step):
+        # the config's bound: 1e-320 raised OverflowError, 1e-6 built 2 000 001 actions
+        with pytest.raises(ValueError, match=r"^\(max - min\) / step must be < 1000000, got "):
+            ActionSet.from_grid(low, high, step)
+
     def test_rejects_empty_and_nonfinite(self):
         with pytest.raises(ValueError, match="^action set is empty$"):
             ActionSet(np.empty((0, 1)))
@@ -215,7 +221,7 @@ class TestPredictions:
         io = CartSideInfoModel(KERN, noise_variance=0.0, timestep=0.05)
         y = np.array([0.3, 0.7])
         means, _ = io.predict_batch(y, np.array([[2.0]]))
-        tracked = io.tracking_values(y, np.array([[2.0]]), means)
+        tracked = io.tracking_values(means)
         assert tracked.shape == (1,)
         assert tracked[0] == pytest.approx(0.335 + 0.05 * means[0, 1])
 
@@ -374,10 +380,10 @@ class _GivenPrediction:
     def __init__(self, means):
         self.means = means
 
-    def _predict(self, y, actions):
+    def predict_batch(self, y, actions):
         return self.means, np.zeros_like(self.means)
 
-    def tracking_values(self, y, actions, means):
+    def tracking_values(self, means):
         return means[:, 0]
 
 
@@ -581,6 +587,22 @@ class TestSelectAction:
         picked = select_max_variance(io.gps[0], rows)
         assert choice.index == picked.index
         assert choice.objective_value == -picked.score
+
+    @pytest.mark.parametrize("w1,w2,message", [
+        (np.nan, 1.0, "^weights must be finite and non-negative$"),
+        (1.0, np.nan, "^weights must be finite and non-negative$"),
+        (-1.0, 0.0, "^weights must be finite and non-negative$"),
+        (0.0, 0.0, r"^w1 \+ w2\(t\) must stay positive for all t$"),
+        (np.inf, 1.0, "^weights must be finite and non-negative$"),
+    ])
+    def test_weights_follow_the_rules_of_weights(self, w1, w2, message):
+        # these chose the farthest action, index 0 or a NaN objective without an error
+        io = AdditiveControlModel(KERN, noise_variance=0.1)
+        phi = ActionSet.from_grid(-1.0, 1.0, 0.5)
+        with pytest.raises(ValueError, match=message):
+            select_action(io, np.array([0.1]), 0.8, phi, w1, w2)
+        with pytest.raises(ValueError, match=message):
+            Weights(w1, w2, w2)
 
     def test_empty_action_set_rejected(self):
         io = AdditiveControlModel(KERN, noise_variance=0.1)
@@ -794,7 +816,7 @@ class TestBenchmark:
 
     def test_tracked_quantity_comes_from_the_structure(self):
         class Mirrored(AdditiveControlModel):
-            def tracking_values(self, y, actions, means):
+            def tracking_values(self, means):
                 return -means[:, 0]
 
         phi = ActionSet.from_grid(0.0, 1.0, 0.25)
