@@ -3,9 +3,9 @@
 Each experiment is one JSON file naming a scenario; every other field is
 optional and overrides that scenario's baked-in defaults. Resolution
 deep-merges the overrides, checks each against the type and bound of the
-default it replaces, then applies the rules that tie fields together. The
-result is a plain dict whose shape is stable enough to snapshot in tests.
-Errors carry the dotted field path that caused them.
+default it replaces, then builds the objects that own the cross-field
+rules. The result is a plain dict whose shape is stable enough to snapshot
+in tests. Errors carry the dotted field path that caused them.
 """
 
 import json
@@ -13,7 +13,8 @@ import math
 import sys
 from dataclasses import asdict, fields
 
-from .control import _MAX_GRID_INTERVALS
+from .control import ActionSet, Weights
+from .gp import KernelConfig
 from .plants import CartParams, LogisticPlant
 
 __all__ = ["ConfigError", "SCENARIOS", "load_config", "resolve_config", "scenario_defaults"]
@@ -221,27 +222,21 @@ def resolve_config(raw: dict) -> dict:
     if "scenario" not in raw:
         raise ConfigError("scenario", "required")
     cfg = _merge(scenario_defaults(raw["scenario"]), raw, "")
-    plant, grid, w = cfg["plant"], cfg["action_grid"], cfg["weights"]
-    cosine_r = LogisticPlant.COSINE_R
-    if plant.get("coupling") == "cosine" and plant["r_param"] != cosine_r:
-        raise ConfigError(
-            "plant.r_param",
-            f"the cosine-coupled map is calibrated for r={cosine_r}, got {plant['r_param']}",
-        )
+    plant, grid = cfg["plant"], cfg["action_grid"]
     if not grid["max"] > grid["min"]:
         raise ConfigError("action_grid.max", f"must exceed min={grid['min']}, got {grid['max']}")
-    intervals = (grid["max"] - grid["min"]) / grid["step"]
-    if not intervals < _MAX_GRID_INTERVALS:  # also rejects a span that overflows to inf
-        raise ConfigError(
-            "action_grid.step",
-            f"(max - min) / step must be < {_MAX_GRID_INTERVALS}, got {intervals:.3g}",
-        )
-    scale = cfg["kernel"]["length_scale"]
-    square = scale * scale  # the kernel divides by it
-    if not 0 < square < math.inf:
-        kind = "finite" if square else "nonzero"
-        raise ConfigError("kernel.length_scale", f"must have a {kind} square, got {scale}")
-    if w["w1"] + min(w["w2_start"], w["w2_end"]) <= 0:
-        raise ConfigError("weights.w1", "w1 + w2(t) must stay positive for all t")
+    # each cross-field rule's owner, by the field its ValueError is reported under
+    owners = {
+        "action_grid.step": lambda: ActionSet.from_grid(grid["min"], grid["max"], grid["step"]),
+        "kernel.length_scale": lambda: KernelConfig(**cfg["kernel"]),
+        "weights.w1": lambda: Weights(**cfg["weights"]),
+    }
+    if plant["kind"] == "logistic":
+        owners["plant.r_param"] = lambda: LogisticPlant(plant["r_param"], plant["coupling"])
+    for field, build in owners.items():
+        try:
+            build()
+        except ValueError as exc:
+            raise ConfigError(field, str(exc)) from None
     cfg["initial_data"] = _initial_data(cfg)
     return cfg

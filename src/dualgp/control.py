@@ -64,8 +64,8 @@ class ActionSet:
     @classmethod
     def from_grid(cls, low: float, high: float, step: float) -> "ActionSet":
         """Evenly spaced scalar actions low, low+step, ..., up to high inclusive."""
-        if not (step > 0) or not (high > low):
-            raise ValueError(f"need high > low and step > 0, got ({low}, {high}, {step})")
+        if not (0 < step < np.inf) or not (high > low):
+            raise ValueError(f"need high > low and a finite step > 0, got ({low}, {high}, {step})")
         if not np.isfinite(high - low):
             raise ValueError(f"need a finite span high - low, got ({low}, {high})")
         intervals = float(high - low) / float(step)  # a Python float: inf, not a warning
@@ -195,7 +195,7 @@ class AdditiveControlModel(IoModel):
         return raw_means[:, None] + actions, raw_vars[:, None]
 
     def target(self, y, u, y_next):
-        return y_next[0] - u[0]
+        return float(y_next[0]) - float(u[0])  # Python floats: an overflow is inf, not a warning
 
 
 class BlackBoxModel(IoModel):

@@ -27,7 +27,7 @@ from .control import (
     run_benchmark_episode,
     run_episode,
 )
-from .gp import FactorizationError, KernelConfig
+from .gp import KernelConfig
 from .plants import CartParams, CartPlant, LogisticPlant
 
 __all__ = [
@@ -155,14 +155,14 @@ def run_scenario(cfg: dict) -> EpisodeResult:
     """Execute one resolved config end to end; an early stop is returned, not raised.
 
     ``aborted`` then holds the EpisodeAborted message and ``records`` the
-    steps done. Raises ConfigError if initial_data cannot be factorized.
+    steps done. Raises ConfigError if the GP rejects a row of initial_data.
     """
     phi = build_action_set(cfg)
     plant = build_plant(cfg)
     io = build_io(cfg)
     try:
         _apply_initial_data(io, cfg, phi, plant)
-    except FactorizationError as exc:
+    except ValueError as exc:  # FactorizationError included
         raise ConfigError("initial_data", str(exc)) from exc
     aborted = None
     try:
@@ -231,14 +231,15 @@ def compute_slice(cfg: dict, at_u: float, coord: int, lo: float, hi: float, n: i
     """
     if n < 2:
         raise ConfigError("slice.n", f"must be >= 2, got {n}")
-    if not hi > lo:
-        raise ConfigError("slice.max", f"must exceed min={lo}, got {hi}")
+    for field, value in (("slice.at_u", at_u), ("slice.min", lo), ("slice.max", hi)):
+        if not np.isfinite(value):
+            raise ConfigError(field, f"must be finite, got {value}")
+    if not (hi > lo and np.isfinite(float(hi) - float(lo))):  # Python floats: inf, no warning
+        raise ConfigError("slice.max", f"must exceed min={lo} by a finite span, got {hi}")
     plant = build_plant(cfg)  # an instance of its own, for its exact map
     obs_dim = plant.output().shape[0]
     if not 0 <= coord < obs_dim:
         raise ConfigError("slice.coord", f"must be in [0, {obs_dim}), got {coord}")
-    if not np.isfinite(at_u):
-        raise ConfigError("slice.at_u", f"must be finite, got {at_u}")
     result = run_scenario(cfg)
     if result.aborted:
         return result, []

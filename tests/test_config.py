@@ -4,6 +4,8 @@ import json
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dualgp.config import (
     ConfigError,
@@ -12,6 +14,9 @@ from dualgp.config import (
     resolve_config,
     scenario_defaults,
 )
+from dualgp.control import ActionSet, Weights
+from dualgp.gp import KernelConfig
+from dualgp.plants import LogisticPlant
 
 # checked-in snapshot of every scenario's fully resolved defaults; a
 # deliberate change here is a behavior change for every consumer
@@ -196,7 +201,8 @@ class TestFieldErrors:
     def test_length_scale_square_must_be_nonzero(self, scale):
         # the kernel divided by a square of 0 and read NaN at zero distance
         raw = {"scenario": "logistic_linear", "kernel": {"length_scale": scale}}
-        with pytest.raises(ConfigError, match=r"must have a nonzero square, got "):
+        with pytest.raises(ConfigError, match=r"^kernel\.length_scale: length_scale must be > 0 "
+                           r"with a finite, nonzero square, got "):
             resolve_config(raw)
         assert self.field_of(raw) == "kernel.length_scale"
         raw["kernel"]["length_scale"] = 1.6e-162
@@ -323,6 +329,70 @@ class TestBounds:
             with pytest.raises(ConfigError) as err:
                 resolve_config(raw)
             assert err.value.field == field
+
+
+@st.composite
+def grids_near_a_bound(draw):
+    """(min, max, step) near 10**6 intervals, or with a span near the float maximum."""
+    if draw(st.booleans()):
+        step = draw(st.floats(1e-3, 1e3))
+        return 0.0, step * draw(st.integers(999_990, 1_000_010)), step
+    half = draw(st.floats(8.9e307, 9.0e307))  # the span overflows above about 8.99e307
+    return -half, half, 1e303
+
+
+class TestOneHomePerRule:
+    """A cross-field rule is stated once, by the object that owns it.
+
+    For values that pass every per-field bound, resolve_config raises
+    exactly when the owner does, under one field and with the owner's message.
+    """
+
+    def check(self, raw, field, build):
+        try:
+            build()
+        except ValueError as exc:
+            with pytest.raises(ConfigError) as err:
+                resolve_config(raw)
+            assert (err.value.field, str(err.value)) == (field, f"{field}: {exc}")
+        else:
+            resolve_config(raw)
+
+    @settings(max_examples=100)
+    @given(st.floats(3.79, 3.81))
+    @example(3.8)
+    @example(3.5)
+    def test_cosine_r(self, r):
+        raw = {"scenario": "logistic_nonlinear", "plant": {"r_param": r}}
+        self.check(raw, "plant.r_param", lambda: LogisticPlant(r, "cosine"))
+
+    @settings(max_examples=30)
+    @given(grids_near_a_bound())
+    @example((0.0, 999_999.0, 1.0))
+    @example((0.0, 1e6, 1.0))
+    @example((-1.7e308, 1.7e308, 1.0))
+    def test_action_grid(self, grid):
+        raw = {"scenario": "logistic_linear", "action_grid": dict(zip(("min", "max", "step"), grid))}
+        self.check(raw, "action_grid.step", lambda: ActionSet.from_grid(*grid))
+
+    @settings(max_examples=100)
+    @given(st.one_of(st.floats(1e-162, 2e-162), st.floats(1.33e154, 1.35e154)))
+    @example(1.6e-162)
+    @example(1.5e-162)
+    @example(1.34e154)
+    @example(1.35e154)
+    def test_length_scale(self, scale):
+        raw = {"scenario": "logistic_linear", "kernel": {"length_scale": scale}}
+        self.check(raw, "kernel.length_scale", lambda: KernelConfig(0.5, scale, 1e-9))
+
+    @settings(max_examples=100)
+    @given(*[st.sampled_from([0.0, 5e-324, 1.0, 1e308])] * 3)
+    @example(0.0, 0.0, 1.0)
+    @example(0.0, 1.0, 1.0)
+    def test_weights(self, w1, w2_start, w2_end):
+        weights = {"w1": w1, "w2_start": w2_start, "w2_end": w2_end}
+        raw = {"scenario": "logistic_linear", "weights": weights}
+        self.check(raw, "weights.w1", lambda: Weights(w1, w2_start, w2_end))
 
 
 class TestInitialData:

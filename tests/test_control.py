@@ -117,6 +117,12 @@ class TestActionSet:
         with pytest.raises(ValueError, match=r"^\(max - min\) / step must be < 1000000, got "):
             ActionSet.from_grid(low, high, step)
 
+    @pytest.mark.parametrize("step", [np.inf, np.nan])
+    def test_step_must_be_finite(self, step):
+        # an infinite step used to reach inf * 0 = nan and a RuntimeWarning
+        with pytest.raises(ValueError, match=r"^need high > low and a finite step > 0, got "):
+            ActionSet.from_grid(0.0, 1.0, step)
+
     def test_rejects_empty_and_nonfinite(self):
         with pytest.raises(ValueError, match="^action set is empty$"):
             ActionSet(np.empty((0, 1)))

@@ -38,6 +38,12 @@ DUPLICATE_POINTS = {
     "initial_data": {"points": [[0.5, 0.0, 0.3]] * 3},
     "steps": 2,
 }
+# seed data whose GP targets are not finite: random draws whose true map
+# overflows, and one explicit transition whose additive target y' - u overflows
+NONFINITE_SEEDS = [
+    {"scenario": "logistic_nonlinear", "initial_data": {"count": 3, "low": 0.0, "high": 1e200}},
+    {"scenario": "logistic_linear", "initial_data": {"points": [[0.5, -1.7e308, 1.7e308]]}},
+]
 
 
 def cfg_for(scenario, **overrides):
@@ -109,6 +115,12 @@ class TestRunScenario:
             run_scenario(cfg_for("logistic_linear", **DUPLICATE_POINTS))
         assert info.value.field == "initial_data"
         assert "singular" in str(info.value)
+
+    @pytest.mark.parametrize("raw", NONFINITE_SEEDS)
+    def test_nonfinite_initial_data_is_a_config_error(self, raw):
+        with pytest.raises(ConfigError) as info:
+            run_scenario(resolve_config(raw))
+        assert str(info.value) == "initial_data: targets contain non-finite values"
 
     def test_targets_near_the_float_maximum_abort_the_update(self):
         # step 11 stores y = -1.55e308 as a target; alpha overflowed, every mean
@@ -223,6 +235,17 @@ class TestSlice:
             compute_slice(cfg, 0.0, 0, 1.0, 0.0, 5)
         with pytest.raises(ConfigError, match="slice.at_u"):
             compute_slice(cfg, math.nan, 0, 0.0, 1.0, 5)
+
+    @pytest.mark.parametrize("lo,hi,field", [
+        (-math.inf, 1.0, "slice.min"),
+        (0.0, math.nan, "slice.max"),
+        (-1e308, 1e308, "slice.max"),  # finite bounds whose span overflows
+    ])
+    def test_slice_bounds_and_span_must_be_finite(self, lo, hi, field):
+        cfg = cfg_for("logistic_linear", steps=1)
+        with pytest.raises(ConfigError) as info:
+            compute_slice(cfg, 0.0, 0, lo, hi, 5)
+        assert info.value.field == field
 
 
 class TestCsvOutput:
@@ -339,6 +362,15 @@ class TestCli:
         assert read_csv(out)[1][6] == "inf"
         assert "aborted: step 1:" in capsys.readouterr().err
 
+    def test_run_exit_1_on_nonfinite_initial_data(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path, NONFINITE_SEEDS[1])
+        out = str(tmp_path / "trace.csv")
+        assert main(["run", cfg, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert "config error: initial_data: targets contain non-finite values" in err
+        assert "Traceback" not in err
+        assert not os.path.exists(out)
+
     def test_run_exit_1_on_unfactorizable_initial_data(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path, {"scenario": "logistic_linear", **DUPLICATE_POINTS})
         out = str(tmp_path / "trace.csv")
@@ -376,14 +408,16 @@ class TestCli:
         cfg = self.write_cfg(tmp_path, {"scenario": "logistic_linear", "kernel": {"length_scale": 1e155}})
         assert main(["validate", cfg]) == 1
         err = capsys.readouterr().err
-        assert "config error: kernel.length_scale: must have a finite square, got 1e+155" in err
+        assert ("config error: kernel.length_scale: length_scale must be > 0 "
+                "with a finite, nonzero square, got 1e+155") in err
         assert "Traceback" not in err
 
     def test_validate_exit_1_on_a_length_scale_whose_square_is_zero(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path, {"scenario": "logistic_linear", "kernel": {"length_scale": 1e-170}})
         assert main(["validate", cfg]) == 1
         err = capsys.readouterr().err
-        assert "config error: kernel.length_scale: must have a nonzero square, got 1e-170" in err
+        assert ("config error: kernel.length_scale: length_scale must be > 0 "
+                "with a finite, nonzero square, got 1e-170") in err
         assert "Traceback" not in err
 
     def test_validate_exit_1_on_lookahead(self, tmp_path, capsys):
