@@ -76,8 +76,17 @@ def _cmd_validate(args, cfg) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, as a bad config does; exit 2 is kept for an aborted episode."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    # sub-parsers are built of the parent's class, so they exit 1 as well
+    parser = _Parser(
         prog="dualgp",
         description="GP-based dual control experiments: run episodes, export traces and GP slices.",
     )

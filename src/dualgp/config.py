@@ -1,11 +1,12 @@
-"""Scenario configuration: JSON in, fully resolved and validated dict out.
+"""Scenario configuration: JSON in, a resolved dict out, and the objects a run builds from it.
 
 Each experiment is one JSON file naming a scenario; every other field is
 optional and overrides that scenario's baked-in defaults. Resolution
 deep-merges the overrides, checks each against the type and bound of the
-default it replaces, then builds the objects that own the cross-field
-rules. The result is a plain dict whose shape is stable enough to snapshot
-in tests. Errors carry the dotted field path that caused them.
+default it replaces, then calls the builders a run uses (action set,
+structure, weights, plant), whose objects own the cross-field rules. The
+result is a plain dict whose shape is stable enough to snapshot in tests.
+Errors carry the dotted field path that caused them.
 """
 
 import json
@@ -13,9 +14,9 @@ import math
 import sys
 from dataclasses import asdict, fields
 
-from .control import ActionSet, Weights
+from .control import ActionSet, AdditiveControlModel, BlackBoxModel, CartSideInfoModel, Weights
 from .gp import KernelConfig
-from .plants import CartParams, LogisticPlant
+from .plants import CartParams, CartPlant, LogisticPlant
 
 __all__ = ["ConfigError", "SCENARIOS", "load_config", "resolve_config", "scenario_defaults"]
 
@@ -217,25 +218,50 @@ def _initial_data(cfg):
     return draws
 
 
+def build_action_set(cfg: dict) -> ActionSet:
+    g = cfg["action_grid"]
+    return ActionSet.from_grid(g["min"], g["max"], g["step"])
+
+
+def build_plant(cfg: dict):
+    plant = cfg["plant"]
+    if plant["kind"] == "logistic":
+        return LogisticPlant(
+            r_param=plant["r_param"], coupling=plant["coupling"], state=cfg["x0"][0]
+        )
+    params = CartParams(**{f.name: plant[f.name] for f in fields(CartParams)})
+    return CartPlant(state=cfg["x0"], params=params)
+
+
+def build_io(cfg: dict):
+    kernel = KernelConfig(**cfg["kernel"])
+    noise = cfg["noise_variance"]
+    if cfg["plant"]["kind"] == "cart":
+        return CartSideInfoModel(kernel, noise, timestep=cfg["plant"]["timestep"])
+    if cfg["plant"]["coupling"] == "additive":
+        return AdditiveControlModel(kernel, noise)
+    return BlackBoxModel(kernel, noise)
+
+
 def resolve_config(raw: dict) -> dict:
     """Merge a user config over its scenario defaults; check each field, then cross-field rules."""
     if "scenario" not in raw:
         raise ConfigError("scenario", "required")
     cfg = _merge(scenario_defaults(raw["scenario"]), raw, "")
-    plant, grid = cfg["plant"], cfg["action_grid"]
+    grid = cfg["action_grid"]
     if not grid["max"] > grid["min"]:
         raise ConfigError("action_grid.max", f"must exceed min={grid['min']}, got {grid['max']}")
-    # each cross-field rule's owner, by the field its ValueError is reported under
-    owners = {
-        "action_grid.step": lambda: ActionSet.from_grid(grid["min"], grid["max"], grid["step"]),
-        "kernel.length_scale": lambda: KernelConfig(**cfg["kernel"]),
-        "weights.w1": lambda: Weights(**cfg["weights"]),
+    # the builders a run uses, by the field their ValueError is reported under
+    builders = {
+        "action_grid.step": build_action_set,
+        "kernel.length_scale": build_io,
+        "weights.w1": lambda cfg: Weights(**cfg["weights"]),
     }
-    if plant["kind"] == "logistic":
-        owners["plant.r_param"] = lambda: LogisticPlant(plant["r_param"], plant["coupling"])
-    for field, build in owners.items():
+    if cfg["plant"]["kind"] == "logistic":
+        builders["plant.r_param"] = build_plant
+    for field, build in builders.items():
         try:
-            build()
+            build(cfg)
         except ValueError as exc:
             raise ConfigError(field, str(exc)) from None
     cfg["initial_data"] = _initial_data(cfg)

@@ -11,24 +11,13 @@ import hashlib
 import logging
 import os
 import tempfile
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .config import ConfigError
-from .control import (
-    ActionSet,
-    AdditiveControlModel,
-    BlackBoxModel,
-    CartSideInfoModel,
-    EpisodeAborted,
-    Weights,
-    run_benchmark_episode,
-    run_episode,
-)
-from .gp import KernelConfig
-from .plants import CartParams, CartPlant, LogisticPlant
+from .config import ConfigError, build_action_set, build_io, build_plant
+from .control import ActionSet, EpisodeAborted, Weights, run_benchmark_episode, run_episode
 
 __all__ = [
     "EpisodeResult",
@@ -61,34 +50,6 @@ class EpisodeResult:
     aborted: Optional[str]  # message if the run died early, else None
     summary: dict
     training_hash: str
-
-
-def build_action_set(cfg: dict) -> ActionSet:
-    g = cfg["action_grid"]
-    return ActionSet.from_grid(g["min"], g["max"], g["step"])
-
-
-def build_plant(cfg: dict):
-    plant = cfg["plant"]
-    if plant["kind"] == "logistic":
-        return LogisticPlant(
-            r_param=plant["r_param"], coupling=plant["coupling"], state=cfg["x0"][0]
-        )
-    params = CartParams(**{f.name: plant[f.name] for f in fields(CartParams)})
-    return CartPlant(state=cfg["x0"], params=params)
-
-
-def build_io(cfg: dict):
-    k = cfg["kernel"]
-    kernel = KernelConfig(
-        signal_variance=k["signal_variance"], length_scale=k["length_scale"], jitter=k["jitter"]
-    )
-    noise = cfg["noise_variance"]
-    if cfg["plant"]["kind"] == "cart":
-        return CartSideInfoModel(kernel, noise, timestep=cfg["plant"]["timestep"])
-    if cfg["plant"]["coupling"] == "additive":
-        return AdditiveControlModel(kernel, noise)
-    return BlackBoxModel(kernel, noise)
 
 
 def _apply_initial_data(io, cfg: dict, phi: ActionSet, plant):

@@ -121,8 +121,9 @@ def sample_candidates(
     if dim == 0:
         raise ValueError("bounds must cover at least one dimension")
     for lo, hi in bounds:
-        if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-            raise ValueError(f"invalid bounds ({lo}, {hi}): need finite low < high")
+        # Python floats: a span that overflows reads inf, with no warning
+        if not (lo < hi and np.isfinite(hi - lo)):
+            raise ValueError(f"invalid bounds ({lo}, {hi}): need low < high and a finite span")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if mode != "uniform_random":

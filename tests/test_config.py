@@ -16,6 +16,7 @@ from dualgp.config import (
 )
 from dualgp.control import ActionSet, Weights
 from dualgp.gp import KernelConfig
+from dualgp.harness import build_action_set, build_io, build_plant
 from dualgp.plants import LogisticPlant
 
 # checked-in snapshot of every scenario's fully resolved defaults; a
@@ -393,6 +394,56 @@ class TestOneHomePerRule:
         weights = {"w1": w1, "w2_start": w2_start, "w2_end": w2_end}
         raw = {"scenario": "logistic_linear", "weights": weights}
         self.check(raw, "weights.w1", lambda: Weights(w1, w2_start, w2_end))
+
+
+# a per-field bound (0, the smallest subnormal), a cross-field rule (the
+# cosine r, a length scale whose square under- or overflows), the float
+# maximum, or any positive float
+NEAR_BOUNDS = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-162, 1.0, LogisticPlant.COSINE_R, 1.4e154, 1.7e308]),
+    st.floats(5e-324, 1.7e308),
+)
+
+
+@st.composite
+def configs_near_the_bounds(draw):
+    """A scenario with some plant, grid, kernel, weight, noise and x0 fields near a bound."""
+    scenario = draw(st.sampled_from(SCENARIOS))
+    defaults = scenario_defaults(scenario)
+    raw = {"scenario": scenario}
+    for block in ("plant", "action_grid", "kernel", "weights"):
+        raw[block] = {
+            key: draw(st.integers(-1, 3) if isinstance(value, int) else NEAR_BOUNDS)
+            for key, value in defaults[block].items()
+            if not isinstance(value, str) and draw(st.booleans())
+        }
+    if draw(st.booleans()):
+        raw["action_grid"] = dict(zip(("min", "max", "step"), draw(grids_near_a_bound())))
+    if defaults["plant"]["kind"] == "logistic":
+        raw["plant"]["coupling"] = draw(st.sampled_from(["additive", "cosine"]))
+    if draw(st.booleans()):
+        raw["noise_variance"] = draw(NEAR_BOUNDS)
+    if draw(st.booleans()):
+        raw["x0"] = [draw(st.floats(-1.7e308, 1.7e308)) for _ in defaults["x0"]]
+    return raw
+
+
+class TestResolvedConfigsBuild:
+    """A config that resolve_config accepts is one the run can build, in every scenario."""
+
+    @settings(max_examples=300)
+    @given(configs_near_the_bounds())
+    @example({"scenario": "cart_dual", "plant": {"timestep": 5e-324}, "x0": [1.7e308] * 4})
+    @example({"scenario": "logistic_nonlinear", "kernel": {"length_scale": 1.4e154}})
+    def test_the_run_builders_construct(self, raw):
+        try:
+            cfg = resolve_config(raw)
+        except ConfigError:
+            return
+        build_action_set(cfg)
+        build_plant(cfg)
+        build_io(cfg)
+        Weights(**cfg["weights"])
 
 
 class TestInitialData:

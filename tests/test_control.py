@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualgp import control, harness
+from dualgp import config, control, harness
 from dualgp.config import resolve_config
 from dualgp.control import (
     ActionSet,
@@ -369,7 +369,7 @@ class TestRowRule:
     def test_a_structure_of_input_dim_and_row_alone_is_the_black_box(self, monkeypatch):
         cfg = resolve_config({"scenario": "logistic_nonlinear", "steps": 40})
         want = harness.run_scenario(cfg)
-        monkeypatch.setattr(harness, "BlackBoxModel", _RowOnlyModel)
+        monkeypatch.setattr(config, "BlackBoxModel", _RowOnlyModel)
         got = harness.run_scenario(cfg)
         assert type(got.io) is _RowOnlyModel and type(want.io) is BlackBoxModel
         assert len(got.records) == len(want.records) == 40

@@ -336,6 +336,25 @@ class TestCli:
         assert "final_tracking_error=" in stdout
         assert "steps_to_within_10pct=" in stdout
 
+    @pytest.mark.parametrize("argv", [
+        ["run"],  # missing config
+        ["run", "cfg.json", "--bogus"],
+        ["sweep", "cfg.json", "--seeds", "x"],
+    ])
+    def test_usage_error_exits_1(self, argv, capsys):
+        # exit 2 means an aborted episode, so a usage error must not use it
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 1
+        assert "usage: dualgp" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])
+    def test_help_exits_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 0
+        assert "usage: dualgp" in capsys.readouterr().out
+
     def test_run_exit_2_on_divergence(self, tmp_path, capsys):
         cfg = self.write_cfg(
             tmp_path, {"scenario": "logistic_nonlinear", "initial_data": None}

@@ -437,6 +437,9 @@ class TestSampleCandidates:
             sample_candidates([(1.0, 1.0)], 3)
         with pytest.raises(ValueError):
             sample_candidates([(0.0, np.inf)], 3)
+        # a span that overflows is named, with no numpy overflow warning
+        with pytest.raises(ValueError, match=r"^invalid bounds \(-1e\+308, 1e\+308\): "):
+            sample_candidates([(-1e308, 1e308)], 3, seed=0)
         with pytest.raises(ValueError):
             sample_candidates([(0.0, 1.0)], 0)
         with pytest.raises(ValueError):
