@@ -65,8 +65,11 @@ def solve_triangular(chol, rhs, trans=False, overwrite_b=False):
     dtrtrs call for such a factor, with the same bits, minus its finiteness
     scans: every factor and right-hand side here is finite. ``overwrite_b``
     lets a Fortran-ordered ``rhs`` that the caller drops hold the solution;
-    LAPACK writes it even where the array is marked read-only.
+    LAPACK writes it even where the array is marked read-only. A 0 x 0 factor
+    solves to its empty ``rhs`` with no LAPACK call, which would reject it.
     """
+    if chol.shape[0] == 0:
+        return rhs
     x, info = _TRTRS(chol.T, rhs, lower=False, trans=not trans, overwrite_b=overwrite_b)
     if info != 0:
         raise FactorizationError(f"triangular solve failed (LAPACK dtrtrs info {info})")
@@ -216,8 +219,7 @@ class GpModel:
         self.data = data
         cov, chol = self.covariance_matrix(), np.zeros((len(data), len(data)))
         for m, row in enumerate(chol):  # row m as with_observation appends it to m rows
-            if m > 0:
-                row[:m] = solve_triangular(chol[:m], cov[m, :m], overwrite_b=True)
+            row[:m] = solve_triangular(chol[:m], cov[m, :m], overwrite_b=True)
             row[m] = self._pivot(row[:m], data.inputs[:m], data.inputs[m : m + 1])
         self._set_factor((chol, data.inputs, data.targets))
 
@@ -267,13 +269,10 @@ class GpModel:
         self._spare = [bufs]  # the first append's right to write row M in place
         self._chol = chol = bufs[0][: len(self.data)]
         self._solved = None  # (row bytes, w) of this factor's last one-row query solve
-        if len(self.data) > 0:
-            z = solve_triangular(chol, self.data.targets)
-            self._alpha = solve_triangular(chol, z, trans=True, overwrite_b=True)
-            if not np.isfinite(self._alpha).all():
-                raise FactorizationError("training targets overflow alpha = C^{-1} y")
-        else:
-            self._alpha = np.zeros(0)
+        z = solve_triangular(chol, self.data.targets)
+        self._alpha = solve_triangular(chol, z, trans=True, overwrite_b=True)
+        if not np.isfinite(self._alpha).all():
+            raise FactorizationError("training targets overflow alpha = C^{-1} y")
 
     def with_observation(self, x, y) -> "GpModel":
         """New model with one more (input, target) pair.
@@ -289,11 +288,10 @@ class GpModel:
         if not math.isfinite(target):
             raise ValueError("targets contain non-finite values")
         n = len(self.data)
-        w = np.zeros(0)
         solved = self._solved
         if solved is not None and solved[0] == point.tobytes():
             w = solved[1]
-        elif n > 0:
+        else:
             k = self.kernel.cross(self.data.inputs, point)[:, 0]
             w = solve_triangular(self._chol, k, overwrite_b=True)
         pivot = self._pivot(w, self.data.inputs, point)
@@ -329,8 +327,6 @@ class GpModel:
 
     def log_det(self) -> float:
         """ln det of the training covariance (0 for an empty model)."""
-        if len(self.data) == 0:
-            return 0.0
         return float(2.0 * np.sum(np.log(np.diag(self._chol))))
 
     def posterior_batch(self, points: np.ndarray):
@@ -346,9 +342,7 @@ class GpModel:
         """
         points = _as_rows(np.atleast_2d(points), self.dim, "query points")
         kappa, n = self.prior_variance, points.shape[0]
-        if len(self.data) == 0 or n == 0:
-            return np.zeros(n), np.full(n, kappa)
-        repeated = (points == points[:1]).all()
+        repeated = n > 0 and (points == points[:1]).all()
         k = self.kernel.cross(self.data.inputs, points[:1] if repeated else points)
         if repeated and n >= 4:  # BLAS gives each group of 4 rows one sum, the n % 4 tail its own
             r = np.repeat(k, 4 + n % 4, axis=1).T @ self._alpha
@@ -372,7 +366,5 @@ class GpModel:
         """
         block = self.kernel.cross(pts, pts)
         block[np.diag_indices(pts.shape[0])] += self._diagonal_boost()
-        if len(self.data) > 0:
-            w = solve_triangular(self._chol, k, overwrite_b=True)
-            block = block - w.T @ w
-        return block
+        w = solve_triangular(self._chol, k, overwrite_b=True)
+        return block - w.T @ w

@@ -57,18 +57,16 @@ def _apply_initial_data(io, cfg: dict, phi: ActionSet, plant):
     if block is None:
         return
     if "points" in block:
-        obs = plant.output().shape[0]
-        for row in block["points"]:
-            io.update(row[:obs], row[obs : obs + 1], row[obs + 1 :])
-        log.debug("seeded %d explicit prior transitions", len(block["points"]))
-        return
-    # random prior measurements of the true map, drawn from the run seed
-    rng = np.random.default_rng(cfg["seed"])
-    ys = rng.uniform(block["low"], block["high"], size=block["count"])
-    us = rng.choice(phi.actions[:, 0], size=block["count"])
-    for y, u in zip(ys, us):
-        io.update([y], [u], [plant.simulate(y, u)])
-    log.debug("seeded %d random prior transitions", block["count"])
+        rows = block["points"]
+    else:  # random prior measurements of the true map, drawn from the run seed
+        rng = np.random.default_rng(cfg["seed"])
+        ys = rng.uniform(block["low"], block["high"], size=block["count"])
+        us = rng.choice(phi.actions[:, 0], size=block["count"])
+        rows = [[y, u, plant.simulate(y, u)] for y, u in zip(ys, us)]
+    obs = plant.output().shape[0]
+    for row in rows:
+        io.update(row[:obs], row[obs : obs + 1], row[obs + 1 :])
+    log.debug("seeded %d prior transitions", len(rows))
 
 
 def training_set_hash(io) -> str:

@@ -59,7 +59,7 @@ def _disjoint_sq_dist(model: GpModel, points):
             f"candidates have dimension {points.shape[1]}, model expects {model.dim}"
         )
     d2 = _sq_dist(points, model.data.inputs)
-    if d2.size and d2.min() <= DUPLICATE_TOL**2:
+    if d2.min(initial=np.inf) <= DUPLICATE_TOL**2:
         i, j = np.argwhere(d2 <= DUPLICATE_TOL**2)[0]
         raise ValueError(
             f"candidate {i} duplicates training input {j} (within {DUPLICATE_TOL})"

@@ -80,15 +80,15 @@ def dense_posterior(kernel, noise, X, y, Q):
 
 @pytest.fixture
 def solve_calls(monkeypatch):
-    """Right-hand-side shapes of every triangular solve made through dualgp.gp."""
+    """Right-hand-side shapes of every LAPACK ``dtrtrs`` call made through dualgp.gp."""
     calls = []
-    solve = gp_module.solve_triangular
+    trtrs = gp_module._TRTRS
 
-    def counted(chol, rhs, trans=False, overwrite_b=False):
-        calls.append(np.shape(rhs))
-        return solve(chol, rhs, trans, overwrite_b)
+    def counted(a, b, **kwargs):
+        calls.append(np.shape(b))
+        return trtrs(a, b, **kwargs)
 
-    monkeypatch.setattr(gp_module, "solve_triangular", counted)
+    monkeypatch.setattr(gp_module, "_TRTRS", counted)
     return calls
 
 
@@ -330,10 +330,14 @@ class TestDataSet:
 
 class TestPosterior:
     def test_empty_model_prior(self):
+        # an empty model takes the path of any other; its solves are empty
         gp = GpModel.empty(KernelConfig(signal_variance=0.5), noise_variance=0.1, dim=1)
-        (mean,), (variance,) = gp.posterior_batch([3.0])
-        assert mean == 0.0
-        assert variance == pytest.approx(0.6, abs=1e-15)
+        one, nine_copies, five_distinct = [3.0], [[3.0]] * 9, [[-2.0], [-1.0], [0.0], [1.5], [3.0]]
+        for points in (one, nine_copies, five_distinct, np.zeros((0, 1))):
+            means, variances = gp.posterior_batch(points)
+            assert means.shape == variances.shape == (len(points),)
+            assert (means == 0.0).all()
+            assert (variances == gp.prior_variance).all()
 
     @pytest.mark.parametrize("noise", [-0.1, np.inf, np.nan])
     def test_noise_variance_must_be_finite_and_non_negative(self, noise):
@@ -553,6 +557,13 @@ class TestSolveTriangular:
         exact = np.linalg.solve(dense.T if trans else dense, rhs)
         assert np.linalg.norm(got - exact) <= 1e-10 * np.linalg.norm(exact)
 
+    @pytest.mark.parametrize("shape", [(0,), (0, 3)])
+    def test_an_empty_factor_solves_to_its_empty_rhs(self, solve_calls, shape):
+        # LAPACK rejects a 0 x 0 factor (dtrtrs info -7); its solution is the empty rhs
+        for trans in (False, True):
+            assert solve_triangular(np.zeros((0, 0)), np.zeros(shape), trans=trans).shape == shape
+        assert solve_calls == []
+
     def test_zero_diagonal_raises(self):
         chol = np.array([[1.0, 0.0], [0.5, 0.0]])
         with pytest.raises(FactorizationError, match="info 2"):
@@ -621,6 +632,16 @@ class TestIncrementalUpdate:
                 gp.posterior_batch((x if query == "appended" else probes[0])[None, :])
             gp = gp.with_observation(x, t)
         assert_same_bits(gp, GpModel(kern, noise, DataSet(X, y)), probes)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_an_empty_models_first_append_after_a_repeated_query(self, dim):
+        # the query keeps its empty column, and the append takes it
+        kern, x = KernelConfig(signal_variance=0.5), np.linspace(0.3, 0.6, dim)
+        queried = GpModel.empty(kern, 0.01, dim)
+        queried.posterior_batch(np.repeat(x[None, :], 101, axis=0))
+        plain = GpModel.empty(kern, 0.01, dim).with_observation(x, 0.7)
+        probes = np.vstack([x, x + 0.25])
+        assert_same_bits(queried.with_observation(x, 0.7), plain, probes)
 
     def test_original_model_unchanged(self):
         kern = KernelConfig()

@@ -183,6 +183,18 @@ class TestRunScenario:
         b = run_scenario(cfg_for("logistic_nonlinear", steps=1, seed=1))
         assert a.training_hash != b.training_hash
 
+    def test_random_draws_seed_as_their_explicit_points(self, tmp_path):
+        # both forms of initial_data go through one seeding loop
+        drawn = run_scenario(cfg_for("logistic_nonlinear", steps=30, seed=3))
+        data = drawn.io.gps[0].data
+        points = np.hstack([data.inputs[:10], data.targets[:10, None]]).tolist()
+        given = run_scenario(cfg_for("logistic_nonlinear", steps=30, seed=3,
+                                     initial_data={"points": points}))
+        assert given.training_hash == drawn.training_hash
+        for name, result in (("drawn", drawn), ("given", given)):
+            write_trace_csv(tmp_path / f"{name}.csv", result.records)
+        assert (tmp_path / "given.csv").read_bytes() == (tmp_path / "drawn.csv").read_bytes()
+
 
 class TestSlice:
     def test_run_and_slice_rebuild_identical_gp(self):
