@@ -4,8 +4,10 @@ Each experiment is one JSON file naming a scenario; every other field is
 optional and overrides that scenario's baked-in defaults. Resolution
 deep-merges the overrides, checks each against the type and bound of the
 default it replaces, then calls the builders a run uses (action set,
-structure, weights, plant), whose objects own the cross-field rules. The
-result is a plain dict whose shape is stable enough to snapshot in tests.
+plant, structure, weights), whose objects own the cross-field rules;
+``build_io`` seeds the structure with ``initial_data``, so resolution
+rejects the prior rows a run would. The result is a plain dict whose
+shape is stable enough to snapshot in tests.
 Errors carry the dotted field path that caused them.
 """
 
@@ -13,6 +15,8 @@ import json
 import math
 import sys
 from dataclasses import asdict, fields
+
+import numpy as np
 
 from .control import ActionSet, AdditiveControlModel, BlackBoxModel, CartSideInfoModel, Weights
 from .gp import KernelConfig
@@ -213,8 +217,9 @@ def _initial_data(cfg):
             "initial_data.count", "random draws need a scalar observation; give explicit points"
         )
     draws = {k: _leaf(f"initial_data.{k}", d, block.get(k)) for k, d in _DRAWS.items()}
-    if not draws["high"] > draws["low"]:
-        raise ConfigError("initial_data.high", f"must exceed low={draws['low']}, got {draws['high']}")
+    low, high = draws["low"], draws["high"]
+    if not (high > low and math.isfinite(high - low)):  # Generator.uniform needs a finite span
+        raise ConfigError("initial_data.high", f"must exceed low={low} by a finite span, got {high}")
     return draws
 
 
@@ -234,13 +239,33 @@ def build_plant(cfg: dict):
 
 
 def build_io(cfg: dict):
+    """The config's structure, seeded with initial_data; a row the GP rejects is a ConfigError."""
     kernel = KernelConfig(**cfg["kernel"])
     noise = cfg["noise_variance"]
     if cfg["plant"]["kind"] == "cart":
-        return CartSideInfoModel(kernel, noise, timestep=cfg["plant"]["timestep"])
-    if cfg["plant"]["coupling"] == "additive":
-        return AdditiveControlModel(kernel, noise)
-    return BlackBoxModel(kernel, noise)
+        io = CartSideInfoModel(kernel, noise, timestep=cfg["plant"]["timestep"])
+    elif cfg["plant"]["coupling"] == "additive":
+        io = AdditiveControlModel(kernel, noise)
+    else:
+        io = BlackBoxModel(kernel, noise)
+    block = cfg["initial_data"]
+    if block is None:
+        return io
+    plant = build_plant(cfg)  # an instance of its own, for its exact map
+    if "points" in block:
+        rows = block["points"]
+    else:  # random prior measurements of the true map, drawn from the run seed
+        rng = np.random.default_rng(cfg["seed"])
+        ys = rng.uniform(block["low"], block["high"], size=block["count"])
+        us = rng.choice(build_action_set(cfg).actions[:, 0], size=block["count"])
+        rows = [[y, u, plant.simulate(y, u)] for y, u in zip(ys, us)]
+    obs = plant.output().shape[0]
+    try:
+        for row in rows:
+            io.update(row[:obs], row[obs : obs + 1], row[obs + 1 :])
+    except ValueError as exc:  # FactorizationError included
+        raise ConfigError("initial_data", str(exc)) from exc
+    return io
 
 
 def resolve_config(raw: dict) -> dict:
@@ -251,18 +276,19 @@ def resolve_config(raw: dict) -> dict:
     grid = cfg["action_grid"]
     if not grid["max"] > grid["min"]:
         raise ConfigError("action_grid.max", f"must exceed min={grid['min']}, got {grid['max']}")
-    # the builders a run uses, by the field their ValueError is reported under
-    builders = {
-        "action_grid.step": build_action_set,
-        "kernel.length_scale": build_io,
-        "weights.w1": lambda cfg: Weights(**cfg["weights"]),
-    }
+    cfg["initial_data"] = _initial_data(cfg)
+    # the builders a run uses, by the field their ValueError is reported
+    # under; build_io builds the first two as well, so they go first
+    builders = {"action_grid.step": build_action_set}
     if cfg["plant"]["kind"] == "logistic":
         builders["plant.r_param"] = build_plant
+    builders["kernel.length_scale"] = build_io
+    builders["weights.w1"] = lambda cfg: Weights(**cfg["weights"])
     for field, build in builders.items():
         try:
             build(cfg)
+        except ConfigError:  # build_io's initial_data rows
+            raise
         except ValueError as exc:
             raise ConfigError(field, str(exc)) from None
-    cfg["initial_data"] = _initial_data(cfg)
     return cfg

@@ -1,9 +1,11 @@
 """Experiment runner behind the CLI: configs to episodes, episodes to CSV.
 
 Everything here is deterministic per (config, seed): the observation
-noise stream and any random prior measurements both derive from the
-config's seed, so rerunning a config reproduces its trace byte for byte
-and the slice path rebuilds the exact GP the run finished with.
+noise stream derives from the config's seed, as do any random prior
+measurements that ``config.build_io`` seeds the structure with, so
+rerunning a config reproduces its trace byte for byte and the slice path
+rebuilds the exact GP the run finished with. The objects come from the
+builders in ``config``; this module reads only run parameters.
 """
 
 import csv
@@ -17,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .config import ConfigError, build_action_set, build_io, build_plant
-from .control import ActionSet, EpisodeAborted, Weights, run_benchmark_episode, run_episode
+from .control import EpisodeAborted, Weights, run_benchmark_episode, run_episode
 
 __all__ = [
     "EpisodeResult",
@@ -50,23 +52,6 @@ class EpisodeResult:
     aborted: Optional[str]  # message if the run died early, else None
     summary: dict
     training_hash: str
-
-
-def _apply_initial_data(io, cfg: dict, phi: ActionSet, plant):
-    block = cfg["initial_data"]
-    if block is None:
-        return
-    if "points" in block:
-        rows = block["points"]
-    else:  # random prior measurements of the true map, drawn from the run seed
-        rng = np.random.default_rng(cfg["seed"])
-        ys = rng.uniform(block["low"], block["high"], size=block["count"])
-        us = rng.choice(phi.actions[:, 0], size=block["count"])
-        rows = [[y, u, plant.simulate(y, u)] for y, u in zip(ys, us)]
-    obs = plant.output().shape[0]
-    for row in rows:
-        io.update(row[:obs], row[obs : obs + 1], row[obs + 1 :])
-    log.debug("seeded %d prior transitions", len(rows))
 
 
 def training_set_hash(io) -> str:
@@ -114,15 +99,14 @@ def run_scenario(cfg: dict) -> EpisodeResult:
     """Execute one resolved config end to end; an early stop is returned, not raised.
 
     ``aborted`` then holds the EpisodeAborted message and ``records`` the
-    steps done. Raises ConfigError if the GP rejects a row of initial_data.
+    steps done. The structure starts from the initial_data rows that
+    ``build_io`` seeds; a row the GP rejects raises ConfigError there, which
+    ``resolve_config`` has already raised for such a config.
     """
     phi = build_action_set(cfg)
     plant = build_plant(cfg)
     io = build_io(cfg)
-    try:
-        _apply_initial_data(io, cfg, phi, plant)
-    except ValueError as exc:  # FactorizationError included
-        raise ConfigError("initial_data", str(exc)) from exc
+    log.debug("seeded %d prior transition(s)", len(io.gps[0].data))
     aborted = None
     try:
         if cfg["selection"] == "benchmark":
@@ -184,7 +168,7 @@ def write_trace_csv(path, records):
 def compute_slice(cfg: dict, at_u: float, coord: int, lo: float, hi: float, n: int):
     """Rerun the config, then cut the learned map along one observation axis.
 
-    Every other observation coordinate sits at its initial value. Returns
+    Every other state coordinate sits at its initial value. Returns
     (result, rows) where rows are (x, true next value, predicted mean,
     predicted std) for the swept coordinate.
     """
@@ -204,9 +188,8 @@ def compute_slice(cfg: dict, at_u: float, coord: int, lo: float, hi: float, n: i
         return result, []
     rows = []
     for x in np.linspace(lo, hi, n):
-        state = np.array(cfg["x0"], dtype=float)
-        state[coord] = x
-        state = state[0] if cfg["plant"]["kind"] == "logistic" else state
+        state = np.array(plant.state, dtype=float)  # 0-d for a logistic plant
+        state.flat[coord] = x
         true_next = plant.output_of(plant.simulate(state, at_u))[coord]
         means, variances = result.io.predict_batch(plant.output_of(state), np.array([[at_u]]))
         mean, var = means[0, coord], variances[0, coord]

@@ -489,6 +489,13 @@ class TestInitialData:
                 {"scenario": "logistic_nonlinear", "initial_data": {"count": 2, "low": 1, "high": 1}}
             )
 
+    def test_draw_span_must_be_finite(self):
+        # Generator.uniform cannot draw over a span that overflows
+        block = {"count": 3, "low": -1.7e308, "high": 1.7e308}
+        message = r"^initial_data.high: must exceed low=-1.7e\+308 by a finite span"
+        with pytest.raises(ConfigError, match=message):
+            resolve_config({"scenario": "logistic_nonlinear", "initial_data": block})
+
 
 class TestLoadConfig:
     def test_round_trip(self, tmp_path):

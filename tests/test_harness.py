@@ -9,6 +9,7 @@ import os
 import numpy as np
 import pytest
 
+from dualgp import config
 from dualgp.cli import main
 from dualgp.config import ConfigError, resolve_config
 from dualgp.harness import (
@@ -43,6 +44,17 @@ DUPLICATE_POINTS = {
 NONFINITE_SEEDS = [
     {"scenario": "logistic_nonlinear", "initial_data": {"count": 3, "low": 0.0, "high": 1e200}},
     {"scenario": "logistic_linear", "initial_data": {"points": [[0.5, -1.7e308, 1.7e308]]}},
+]
+# random draws whose span high - low overflows Generator.uniform
+OVERFLOWING_SPAN = {
+    "scenario": "logistic_nonlinear",
+    "initial_data": {"count": 3, "low": -1.7e308, "high": 1.7e308},
+}
+# every initial_data above that the run rejects, and the field it names
+REJECTED_PRIOR_DATA = [
+    ({"scenario": "logistic_linear", **DUPLICATE_POINTS}, "initial_data"),
+    *[(raw, "initial_data") for raw in NONFINITE_SEEDS],
+    (OVERFLOWING_SPAN, "initial_data.high"),
 ]
 
 
@@ -121,6 +133,20 @@ class TestRunScenario:
         with pytest.raises(ConfigError) as info:
             run_scenario(resolve_config(raw))
         assert str(info.value) == "initial_data: targets contain non-finite values"
+
+    @pytest.mark.parametrize("raw,field", REJECTED_PRIOR_DATA)
+    def test_resolution_rejects_the_prior_data_the_run_rejects(self, raw, field):
+        with pytest.raises(ConfigError) as info:
+            resolve_config(raw)
+        assert info.value.field == field
+
+    def test_build_io_holds_the_seed_rows_the_run_trains_on(self):
+        cfg = cfg_for("logistic_nonlinear", steps=1)
+        seeded = config.build_io(cfg).gps[0].data
+        trained = run_scenario(cfg).io.gps[0].data
+        assert len(seeded) == 10
+        assert seeded.inputs.tobytes() == trained.inputs[:10].tobytes()
+        assert seeded.targets.tobytes() == trained.targets[:10].tobytes()
 
     def test_targets_near_the_float_maximum_abort_the_update(self):
         # step 11 stores y = -1.55e308 as a target; alpha overflowed, every mean
@@ -410,6 +436,16 @@ class TestCli:
         assert "config error: initial_data:" in err
         assert "Traceback" not in err
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("raw,field", REJECTED_PRIOR_DATA)
+    def test_validate_exit_1_on_prior_data_the_run_rejects(self, tmp_path, capsys, raw, field):
+        cfg = self.write_cfg(tmp_path, raw)
+        assert main(["validate", cfg]) == 1
+        validated = capsys.readouterr()
+        assert main(["run", cfg, "--out", str(tmp_path / "t.csv")]) == 1
+        assert validated.out == ""
+        assert validated.err.startswith(f"config error: {field}: ")
+        assert validated.err == capsys.readouterr().err
 
     def test_validate_prints_resolved_config(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path, {"scenario": "cart_dual", "steps": 11})

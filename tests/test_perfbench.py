@@ -60,3 +60,11 @@ def test_the_tracer_installs_and_uninstalls():
     metrics = tracer.layer_metrics()
     assert metrics["control.select_action.calls"] == (20, "count")
     assert metrics["gp.with_observation.calls"] == (20, "count")
+
+
+def test_stamping_records_one_list_per_episode():
+    # the drawing plant of the seed rows is built by config.build_plant,
+    # so only the episode's own plant is stamped
+    with workloads.Stamping() as stamping:
+        harness.run_scenario(resolve_config({"scenario": "logistic_nonlinear", "steps": 30}))
+    assert [len(stamps) for stamps in stamping.episodes] == [30]
