@@ -22,7 +22,10 @@ from .control import ActionSet, AdditiveControlModel, BlackBoxModel, CartSideInf
 from .gp import KernelConfig
 from .plants import CartParams, CartPlant, LogisticPlant
 
-__all__ = ["ConfigError", "SCENARIOS", "load_config", "resolve_config", "scenario_defaults"]
+__all__ = [
+    "ConfigError", "SCENARIOS", "build_action_set", "build_io", "build_plant", "load_config",
+    "resolve_config", "scenario_defaults",
+]
 
 SCENARIOS = ("logistic_linear", "logistic_nonlinear", "cart_dual", "cart_benchmark")
 

@@ -18,14 +18,11 @@ from typing import Optional
 
 import numpy as np
 
-from .config import ConfigError, build_action_set, build_io, build_plant
+from .config import ConfigError, build_action_set, build_io, build_plant, resolve_config
 from .control import EpisodeAborted, Weights, run_benchmark_episode, run_episode
 
 __all__ = [
     "EpisodeResult",
-    "build_action_set",
-    "build_io",
-    "build_plant",
     "compute_slice",
     "run_scenario",
     "run_sweep",
@@ -60,13 +57,17 @@ def training_set_hash(io) -> str:
     for gp in io.gps:
         data = gp.data
         h.update(repr(data.inputs.shape).encode())
-        h.update(np.ascontiguousarray(data.inputs).tobytes())
-        h.update(np.ascontiguousarray(data.targets).tobytes())
+        h.update(data.inputs.tobytes())  # C order, whatever the layout
+        h.update(data.targets.tobytes())
     return h.hexdigest()
 
 
-def summarize(cfg: dict, records: list) -> dict:
-    """Headline numbers for a finished (or aborted) episode."""
+def summarize(cfg: dict, records: list, aborted: Optional[str]) -> dict:
+    """Headline numbers for a finished (or aborted) episode.
+
+    ``success`` is 1 when it completed and its final-quarter mean tracking
+    error is within a quarter of |r|; band entry time has its own key.
+    """
     r = float(cfg["target"][0])
     band = 0.1 * abs(r)
     steps_to = -1
@@ -76,6 +77,7 @@ def summarize(cfg: dict, records: list) -> dict:
             break
     # a blown-up trajectory can overflow the error norm; report the last
     # finite value, or inf when every step overflowed (success flags the failure)
+    success = 0
     if records:
         errs = [r.tracking_error for r in records]
         finite = [e for e in errs if np.isfinite(e)]
@@ -83,6 +85,8 @@ def summarize(cfg: dict, records: list) -> dict:
         half = len(errs) // 2
         first = float(np.mean(errs[:half])) if half else final
         second = float(np.mean(errs[half:]))
+        if aborted is None:
+            success = int(np.mean(errs[-max(1, len(errs) // 4):]) <= 0.25 * abs(r))
     else:
         # aborted before the first step completed: distance from rest
         final = abs(float(cfg["x0"][0]) - r)
@@ -92,6 +96,7 @@ def summarize(cfg: dict, records: list) -> dict:
         "steps_to_within_10pct": steps_to,
         "mean_tracking_error_first_half": first,
         "mean_tracking_error_second_half": second,
+        "success": success,
     }
 
 
@@ -120,7 +125,7 @@ def run_scenario(cfg: dict) -> EpisodeResult:
         records, aborted = exc.records, str(exc)
     if aborted:
         log.info("episode aborted: %s", aborted)
-    summary = summarize(cfg, records)
+    summary = summarize(cfg, records, aborted)
     digest = training_set_hash(io)
     log.info(
         "scenario %s: %d step(s), final error %.6g, training hash %s",
@@ -205,29 +210,24 @@ def write_slice_csv(path, rows):
 
 
 def run_sweep(cfg: dict, n_seeds: int):
-    """Run seeds 0..n_seeds-1 and tabulate how each run ended.
+    """Run seeds 0..n_seeds-1 and tabulate each run's summary.
 
-    A seed succeeds if the run completed and its mean tracking error
-    over the final quarter of the episode is within a quarter of the
-    reference magnitude; band entry time has its own column.
+    Every seed is resolved before the first episode, so a seed whose
+    prior data the GP rejects fails the sweep by number, with no run.
     """
     if n_seeds < 1:
         raise ConfigError("sweep.seeds", f"must be >= 1, got {n_seeds}")
-    bound = 0.25 * abs(float(cfg["target"][0]))
-    rows = []
+    per_seed = []
     for seed in range(n_seeds):
-        per_seed = dict(cfg)
-        per_seed["seed"] = seed
-        result = run_scenario(per_seed)
-        success = 0
-        if result.aborted is None and result.records:
-            tail = result.records[-max(1, len(result.records) // 4):]
-            success = int(np.mean([r.tracking_error for r in tail]) <= bound)
+        try:
+            per_seed.append(resolve_config({**cfg, "seed": seed}))
+        except ConfigError as exc:
+            raise ConfigError("sweep.seeds", f"seed {seed}: {exc}") from None
+    rows = []
+    for seed_cfg in per_seed:
+        s = run_scenario(seed_cfg).summary
         rows.append((
-            seed,
-            result.summary["final_tracking_error"],
-            result.summary["steps_to_within_10pct"],
-            success,
+            seed_cfg["seed"], s["final_tracking_error"], s["steps_to_within_10pct"], s["success"]
         ))
     return rows
 

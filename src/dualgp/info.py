@@ -83,8 +83,8 @@ def select_exhaustive(model: GpModel, points) -> SelectionResult:
     # self-pair: s^2 - (s - boost)^2 without the cancellation of two near-equal squares
     boost = model._diagonal_boost()
     np.fill_diagonal(dets, boost * (2 * s - boost))
-    # exactly where the 2x2 Cholesky factorization of a block fails
-    if np.any(s <= 0) or np.any(dets <= 0):
+    # exactly where a block's 2x2 Cholesky fails; an s <= 0 fails its own self-pair
+    if np.any(dets <= 0):
         raise FactorizationError(
             "bordered covariance is singular; duplicate border points "
             "with no noise or jitter on the diagonal"

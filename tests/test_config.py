@@ -116,6 +116,22 @@ class TestDefaults:
         assert count == 32
 
 
+class TestResolvedIsAFixedPoint:
+    """A resolved config resolves to itself, so a caller may resolve it again."""
+
+    @pytest.mark.parametrize("raw", [
+        *({"scenario": name} for name in SCENARIOS),
+        {"scenario": "logistic_linear", "initial_data": {"points": [[0.1, 0.5, 0.4]]}},
+        {"scenario": "cart_dual", "initial_data": {"points": [[0.6, 0.0, 1.0, 0.6, 0.1]]}},
+        {"scenario": "logistic_linear", "target": 0.6, "x0": 0.2, "seed": 3},
+    ])
+    def test_resolving_twice_changes_nothing(self, raw):
+        cfg = resolve_config(raw)
+        again = resolve_config(cfg)
+        assert again == cfg
+        assert json.dumps(again, sort_keys=True) == json.dumps(cfg, sort_keys=True)
+
+
 class TestMerging:
     def test_scalar_override(self):
         cfg = resolve_config({"scenario": "logistic_linear", "steps": 7, "seed": 3})

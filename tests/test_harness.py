@@ -9,7 +9,7 @@ import os
 import numpy as np
 import pytest
 
-from dualgp import config
+from dualgp import config, harness
 from dualgp.cli import main
 from dualgp.config import ConfigError, resolve_config
 from dualgp.harness import (
@@ -56,6 +56,16 @@ REJECTED_PRIOR_DATA = [
     *[(raw, "initial_data") for raw in NONFINITE_SEEDS],
     (OVERFLOWING_SPAN, "initial_data.high"),
 ]
+
+# one random draw whose true map overflows the GP's targets at some seeds
+# only: the config's own seed draws a finite one, and the sweep's seed does not
+SEED_DEPENDENT_PRIOR_DATA = [
+    ({"scenario": "logistic_nonlinear", "steps": 20,
+      "initial_data": {"count": 1, "low": 0, "high": 6e153}}, 4),
+    ({"scenario": "logistic_nonlinear", "seed": 2, "steps": 20,
+      "initial_data": {"count": 1, "low": 0, "high": 1e154}}, 0),
+]
+
 
 
 def cfg_for(scenario, **overrides):
@@ -164,7 +174,7 @@ class TestRunScenario:
 
     def test_summarize_with_no_records(self):
         cfg = cfg_for("logistic_linear")
-        summary = summarize(cfg, [])
+        summary = summarize(cfg, [], None)
         assert summary["final_tracking_error"] == pytest.approx(0.7)
         assert summary["steps_to_within_10pct"] == -1
 
@@ -178,7 +188,7 @@ class TestRunScenario:
         assert result.records[0].objective_value == np.inf
         assert result.records[0].tracking_error == np.inf
         assert result.summary["final_tracking_error"] == np.inf
-        assert summarize(cfg, [])["final_tracking_error"] == abs(0.1 - 3e200)
+        assert summarize(cfg, [], None)["final_tracking_error"] == abs(0.1 - 3e200)
         assert run_sweep(cfg, 1) == [(0, np.inf, -1, 0)]
 
     def test_explicit_initial_points_enter_training_set(self):
@@ -346,6 +356,66 @@ class TestSweep:
     def test_seed_count_validated(self):
         with pytest.raises(ConfigError, match="sweep.seeds"):
             run_sweep(cfg_for("logistic_linear"), 0)
+
+    @pytest.mark.parametrize("raw,seed", SEED_DEPENDENT_PRIOR_DATA)
+    def test_every_seed_is_resolved_before_the_first_episode(self, monkeypatch, raw, seed):
+        cfg = resolve_config(raw)
+        runs = []
+        run = harness.run_scenario
+        monkeypatch.setattr(harness, "run_scenario", lambda c: runs.append(c) or run(c))
+        with pytest.raises(ConfigError, match=rf"^sweep\.seeds: seed {seed}: initial_data: ") as exc:
+            run_sweep(cfg, 10)
+        assert exc.value.field == "sweep.seeds"
+        assert runs == []
+
+    def test_each_seed_runs_once_through_the_module_level_run_scenario(self, monkeypatch):
+        seeds = []
+        run = harness.run_scenario
+        monkeypatch.setattr(harness, "run_scenario", lambda c: seeds.append(c["seed"]) or run(c))
+        rows = run_sweep(cfg_for("logistic_linear", steps=10, seed=7), 3)
+        assert seeds == [0, 1, 2]
+        assert [row[0] for row in rows] == [0, 1, 2]
+
+    def test_rows_are_the_run_summaries(self):
+        cfg = cfg_for("logistic_nonlinear", steps=40)
+        rows = run_sweep(cfg, 3)
+        for seed, row in enumerate(rows):
+            s = run_scenario({**cfg, "seed": seed}).summary
+            keys = ("final_tracking_error", "steps_to_within_10pct", "success")
+            assert row == (seed, *(s[k] for k in keys))
+
+
+class TestSuccess:
+    """summarize's success key: completed, final-quarter mean error within |r| / 4."""
+
+    def test_completed_within_the_bound(self):
+        result = run_scenario(cfg_for("logistic_linear", steps=40))
+        tail = [r.tracking_error for r in result.records[-10:]]
+        assert result.aborted is None and np.mean(tail) <= 0.25 * 0.8
+        assert result.summary["success"] == 1
+
+    def test_an_aborted_run_with_records_fails(self):
+        cfg = cfg_for("logistic_nonlinear", initial_data=None)
+        result = run_scenario(cfg)
+        assert result.aborted is not None and result.records
+        assert result.summary["success"] == 0
+
+    def test_an_abort_message_alone_fails_a_run(self):
+        cfg = cfg_for("logistic_linear", steps=40)
+        records = run_scenario(cfg).records
+        assert summarize(cfg, records, None)["success"] == 1
+        assert summarize(cfg, records, "step 40: plant diverged")["success"] == 0
+
+    def test_no_records_fail(self):
+        cfg = cfg_for("logistic_linear")
+        assert summarize(cfg, [], None)["success"] == 0
+        assert summarize(cfg, [], "step 0: diverged")["success"] == 0
+
+    def test_an_infinite_error_fails(self):
+        result = run_scenario(cfg_for("logistic_linear", **FAR_REFERENCE))
+        assert result.aborted is None
+        assert result.records[-1].tracking_error == np.inf
+        assert result.summary["success"] == 0
 
 
 class TestTrainingHash:
@@ -536,6 +606,19 @@ class TestCli:
         rows = read_csv(out)
         assert rows[0] == ["x", "true_value", "mean", "std"]
         assert len(rows) == 5
+
+    @pytest.mark.parametrize("raw,seed", SEED_DEPENDENT_PRIOR_DATA)
+    def test_sweep_names_the_seed_validate_does_not_draw(self, tmp_path, capsys, raw, seed):
+        # validate draws the prior data of the config's own seed, which seeds;
+        # the sweep draws it for each of its seeds before any episode runs
+        cfg = self.write_cfg(tmp_path, raw)
+        out = tmp_path / "summary.csv"
+        assert main(["validate", cfg]) == 0
+        capsys.readouterr()
+        assert main(["sweep", cfg, "--seeds", "10", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"config error: sweep.seeds: seed {seed}: initial_data: " in err
+        assert not out.exists()
 
     def test_sweep_command(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path, {"scenario": "logistic_linear", "steps": 20})

@@ -68,3 +68,15 @@ def test_stamping_records_one_list_per_episode():
     with workloads.Stamping() as stamping:
         harness.run_scenario(resolve_config({"scenario": "logistic_nonlinear", "steps": 30}))
     assert [len(stamps) for stamps in stamping.episodes] == [30]
+
+
+def test_the_benchmark_judges_success_as_the_summary_does(tmp_path):
+    # check.py keeps its own copy of the success rule, to score output it
+    # has not matched against the reference; it must agree with summarize
+    workload = workloads.make("nonlinear_sweep", 0)
+    workload.build()
+    results = workload.body(str(tmp_path))["results"]
+    assert [r.config["seed"] for r in results] == list(range(20))
+    verdicts = [r.summary["success"] for r in results]
+    assert set(verdicts) == {0, 1}
+    assert [int(check.succeeded(r.config, r)) for r in results] == verdicts
